@@ -20,15 +20,13 @@ from .constructions import (brace_order4_nontrivial, example_c2cubed,
                             example_cn_even, example_p_odd, example_pq,
                             example_q8, least_kappa)
 from .enumeration import (BraceEnumeration, braces_with_mult_group,
-                          enumerate_circ, mult_type_census,
-                          oracle_enumerate_circ, reduce_up_to_iso,
+                          enumerate_circ, mult_type_census, reduce_up_to_iso,
                           with_mult_types)
 from .groups import (CayleyTableError, FiniteGroup, Subgroup, direct_product,
-                     is_regular, left_regular, make_abelian, make_alternating4,
-                     make_cyclic, make_dicyclic, make_dihedral,
-                     make_quaternion8, right_regular, semidirect_product,
-                     subgroups)
-from .morphisms import are_isomorphic, automorphism_group, characteristic_subgroups, holomorph
+                     make_abelian, make_alternating4, make_cyclic,
+                     make_dicyclic, make_dihedral, make_quaternion8,
+                     semidirect_product, subgroups)
+from .morphisms import are_isomorphic, automorphism_group, characteristic_subgroups
 from .report import (HGDescriptor, LatticeEntry, ReportBundle, brace_digest,
                      gamma_orbits, hg_descriptor, render_dot, report_bundle)
 
@@ -45,14 +43,11 @@ __all__ = [
     "brace_order4_nontrivial", "example_c2cubed", "example_cn_even",
     "example_p_odd", "example_pq", "example_q8", "least_kappa",
     "BraceEnumeration", "braces_with_mult_group", "enumerate_circ",
-    "mult_type_census", "oracle_enumerate_circ", "reduce_up_to_iso",
-    "with_mult_types",
+    "mult_type_census", "reduce_up_to_iso", "with_mult_types",
     "CayleyTableError", "FiniteGroup", "Subgroup", "direct_product",
-    "is_regular", "left_regular", "make_abelian", "make_alternating4",
-    "make_cyclic", "make_dicyclic", "make_dihedral", "make_quaternion8",
-    "right_regular", "semidirect_product", "subgroups",
+    "make_abelian", "make_alternating4", "make_cyclic", "make_dicyclic",
+    "make_dihedral", "make_quaternion8", "semidirect_product", "subgroups",
     "are_isomorphic", "automorphism_group", "characteristic_subgroups",
-    "holomorph",
     "HGDescriptor", "LatticeEntry", "ReportBundle", "brace_digest",
     "gamma_orbits", "hg_descriptor", "render_dot", "report_bundle",
 ]

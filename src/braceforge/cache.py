@@ -87,7 +87,7 @@ def _store_payload(path: Path, key: str, payload) -> None:
 def cached_enumeration(group: FiniteGroup,
                        cache_dir: str | os.PathLike | None = None) -> BraceEnumeration:
     """enumerate_circ with a read-through file cache."""
-    from .jsonio import SchemaError, enumeration_from_obj, enumeration_to_obj
+    from .jsonio import enumeration_from_obj, enumeration_to_obj
 
     directory = resolve_cache_dir(cache_dir)
     key = _entry_key("enum", group)
@@ -102,7 +102,7 @@ def cached_enumeration(group: FiniteGroup,
                     for b in stored.operations),
                     iso_classes=stored.iso_classes, by_mult_type=stored.by_mult_type)
             warnings.warn(f"corrupt cache entry {path.name} (table mismatch); recomputing")
-        except SchemaError as exc:
+        except ValueError as exc:  # SchemaError, or tables that break FiniteGroup
             warnings.warn(f"corrupt cache entry {path.name} ({exc}); recomputing")
     enum = enumerate_circ(group)
     _store_payload(path, key, enumeration_to_obj(enum))
@@ -112,7 +112,7 @@ def cached_enumeration(group: FiniteGroup,
 def cached_verdict(group: FiniteGroup, exhaustive: bool,
                    cache_dir: str | os.PathLike | None = None):
     """Stored goodness verdict, or None when absent or unreadable."""
-    from .jsonio import SchemaError, verdict_from_obj
+    from .jsonio import verdict_from_obj
 
     directory = resolve_cache_dir(cache_dir)
     key = _entry_key("verdict", group, "exhaustive" if exhaustive else "first")
@@ -121,7 +121,7 @@ def cached_verdict(group: FiniteGroup, exhaustive: bool,
         return None
     try:
         return verdict_from_obj(payload, trusted=True)
-    except SchemaError as exc:
+    except ValueError as exc:  # SchemaError, or tables that break FiniteGroup
         warnings.warn(f"corrupt cache entry for {group.label or 'group'} ({exc}); recomputing")
         return None
 

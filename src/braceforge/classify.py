@@ -95,17 +95,12 @@ def _scan_enumeration(group: FiniteGroup, enum, exhaustive: bool) -> Verdict:
     for b in enum.operations:
         examined += 1
         found = _first_failure(b)
-        if found is not None:
+        if witness is None and found is not None:
             witness = found
             if not exhaustive:
-                return Verdict(group_label=group.label, good=False, witness=witness,
-                               braces_examined=examined, exhaustive=False)
-            break
-    if witness is not None:
-        return Verdict(group_label=group.label, good=False, witness=witness,
-                       braces_examined=len(enum.operations), exhaustive=True)
-    return Verdict(group_label=group.label, good=True, witness=None,
-                   braces_examined=examined, exhaustive=True)
+                break
+    return Verdict(group_label=group.label, good=witness is None, witness=witness,
+                   braces_examined=examined, exhaustive=exhaustive or witness is None)
 
 
 def _prime_divisors(n: int) -> list[int]:

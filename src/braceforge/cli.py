@@ -1,14 +1,15 @@
 """Command line front end.
 
 Exit codes: 0 on success, 1 when a mathematical verification fails
-(theorem mismatch), 2 on usage errors, unknown labels, or invalid input
-files.
+(theorem mismatch), 2 on usage errors, unknown labels, invalid input
+files, or a stdout closed before the output was written.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -24,7 +25,7 @@ from .groups import CayleyTableError, FiniteGroup, subgroups
 from .jsonio import (SchemaError, brace_from_obj, brace_to_obj, canonical_dumps,
                      enumeration_to_obj, group_from_obj, group_to_obj, serialize,
                      theorem_report_to_obj, verdict_to_obj)
-from .report import hg_descriptor, render_dot, report_bundle
+from .report import render_dot, report_bundle
 
 
 class UsageError(Exception):
@@ -263,12 +264,12 @@ def _cmd_example(args) -> int:
 
 
 def _cmd_hg_report(args) -> int:
-    b = _resolve_brace(args.input)
-    d = hg_descriptor(b)
+    bundle = report_bundle(_resolve_brace(args.input))
+    d = bundle.descriptor
     if args.dot is not None:
         Path(args.dot).write_text(render_dot(d), encoding="utf-8")
     if args.json:
-        sys.stdout.write(serialize(report_bundle(b)).decode("utf-8"))
+        sys.stdout.write(serialize(bundle).decode("utf-8"))
         return 0
     ideals = sum(1 for e in d.lattice if e.is_left_ideal)
     print(f"type: {d.type_label}")
@@ -370,10 +371,19 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        # the reader went away; point stdout at devnull so the shutdown flush
+        # of whatever is still buffered cannot raise again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 2
+    return code
 
 
 if __name__ == "__main__":

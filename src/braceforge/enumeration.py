@@ -8,16 +8,13 @@ subgroup containing one element sending 0 to each point.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from itertools import permutations
+from dataclasses import dataclass, replace
 
-from .braces import BraceValidationError, SkewBrace, brace_isomorphic, validate
+from .braces import BraceValidationError, SkewBrace, validate
 from .census import CENSUS_MAX_ORDER, CensusCapError, census, label_or_unknown
 from .groups import FiniteGroup
 from .morphisms import automorphism_group
 from .perms import compose
-
-ORACLE_MAX_ORDER = 6
 
 Table = tuple[tuple[int, ...], ...]
 
@@ -36,7 +33,7 @@ class BraceEnumeration:
 
 def _regular_subgroup_tables(g: FiniteGroup) -> list[Table]:
     n = g.order
-    auts = list(automorphism_group(g).sorted_elements)
+    auts = automorphism_group(g)
     na = len(auts)
     gt = g.table
     aindex = {a: i for i, a in enumerate(auts)}
@@ -152,33 +149,6 @@ def enumerate_circ(additive: FiniteGroup) -> BraceEnumeration:
     return enum
 
 
-def oracle_enumerate_circ(additive: FiniteGroup) -> list[Table]:
-    """Independent cross-check: transport every census table of the same order
-    through every identity-fixing bijection and keep what validates."""
-    n = additive.order
-    if n > ORACLE_MAX_ORDER:
-        raise CensusCapError(f"oracle enumeration is capped at order {ORACLE_MAX_ORDER}")
-    out: set[Table] = set()
-    for entry in census(ORACLE_MAX_ORDER):
-        if entry.order != n:
-            continue
-        mt = entry.group.table
-        for rest in permutations(range(1, n)):
-            f = (0,) + rest
-            finv = [0] * n
-            for i, v in enumerate(f):
-                finv[v] = i
-            t = tuple(tuple(f[mt[finv[a]][finv[b]]] for b in range(n)) for a in range(n))
-            if t in out:
-                continue
-            try:
-                validate(additive, FiniteGroup.from_table(t))
-            except BraceValidationError:
-                continue
-            out.add(t)
-    return sorted(out)
-
-
 def _transport_table(t: Table, f: tuple[int, ...]) -> Table:
     n = len(t)
     rows = [[0] * n for _ in range(n)]
@@ -190,49 +160,29 @@ def _transport_table(t: Table, f: tuple[int, ...]) -> Table:
 
 
 def reduce_up_to_iso(enum: BraceEnumeration) -> BraceEnumeration:
-    """Partition operations into isomorphism classes, two independent ways.
+    """Partition operations into isomorphism classes.
 
-    Method one searches for bijections preserving both tables.  Method two
-    takes orbits of the additive automorphism group acting on circ tables by
-    transport.  The partitions must agree exactly; a mismatch is a fault.
+    Braces over a fixed additive group are isomorphic exactly when an additive
+    automorphism transports one circ table onto the other, so the classes are
+    the orbits of the automorphism group acting on circ tables by transport.
     """
-    ops = enum.operations
-    tables = [b.circ.table for b in ops]
+    tables = [b.circ.table for b in enum.operations]
     index_of = {t: i for i, t in enumerate(tables)}
-
-    auts = automorphism_group(enum.additive).sorted_elements
-    seen = [False] * len(ops)
-    orbit_classes: list[tuple[int, ...]] = []
-    for i in range(len(ops)):
+    auts = automorphism_group(enum.additive)
+    seen = [False] * len(tables)
+    classes: list[tuple[int, ...]] = []  # each opens at its least index, so sorted
+    for i, t in enumerate(tables):
         if seen[i]:
             continue
         orbit = set()
         for alpha in auts:
-            moved = _transport_table(tables[i], alpha)
-            j = index_of.get(moved)
+            j = index_of.get(_transport_table(t, alpha))
             if j is None:  # pragma: no cover - internal fault
                 raise RuntimeError("transport of an operation left the enumeration")
             orbit.add(j)
-        for j in orbit:
             seen[j] = True
-        orbit_classes.append(tuple(sorted(orbit)))
-    orbit_classes.sort()
-
-    direct_classes: list[list[int]] = []
-    for i, b in enumerate(ops):
-        placed = False
-        for cls in direct_classes:
-            if brace_isomorphic(ops[cls[0]], b) is not None:
-                cls.append(i)
-                placed = True
-                break
-        if not placed:
-            direct_classes.append([i])
-    direct_sorted = sorted(tuple(sorted(c)) for c in direct_classes)
-
-    if direct_sorted != orbit_classes:  # pragma: no cover - internal fault
-        raise RuntimeError("isomorphism-class partitions disagree between methods")
-    return replace(enum, iso_classes=tuple(orbit_classes))
+        classes.append(tuple(sorted(orbit)))
+    return replace(enum, iso_classes=tuple(classes))
 
 
 def with_mult_types(enum: BraceEnumeration) -> BraceEnumeration:

@@ -11,7 +11,7 @@ from dataclasses import dataclass, field, replace
 from functools import cached_property, reduce
 from typing import Iterable, Sequence
 
-from .perms import Perm, PermGroup, compose, identity_perm, is_permutation
+from .perms import compose, identity_perm, is_permutation
 
 
 class CayleyTableError(ValueError):
@@ -336,38 +336,3 @@ def subgroups(g: FiniteGroup) -> list[Subgroup]:
 def is_normal(g: FiniteGroup, s: Subgroup) -> bool:
     mset = set(s.members)
     return all(g.conjugate(a, b) in mset for a in g.elements() for b in s.members)
-
-
-# ---------------------------------------------------------------------------
-# Regular representations
-# ---------------------------------------------------------------------------
-
-def left_regular(g: FiniteGroup) -> PermGroup:
-    """lambda_a : x -> a*x for every a."""
-    return PermGroup(degree=g.order, generators=tuple(g.table[a] for a in g.elements()))
-
-
-def right_regular(g: FiniteGroup) -> PermGroup:
-    """rho_a : x -> x*a^-1 for every a (a homomorphism, commuting with left_regular)."""
-    n = g.order
-    gens = tuple(tuple(g.table[x][g.inv[a]] for x in range(n)) for a in range(n))
-    return PermGroup(degree=n, generators=gens)
-
-
-def is_regular(pg: PermGroup, sub: Iterable[Perm]) -> bool:
-    """Whether `sub` is a regular subgroup of pg: |sub| = degree, only the identity fixes 0.
-
-    The candidate set must be composition-closed and contained in pg; anything
-    else is rejected rather than answered.
-    """
-    perms = {tuple(p) for p in sub}
-    if not perms <= pg.elements:
-        raise ValueError("candidate set is not contained in the group")
-    for p in perms:
-        for q in perms:
-            if compose(p, q) not in perms:
-                raise ValueError("candidate set is not closed under composition")
-    if len(perms) != pg.degree:
-        return False
-    ident = identity_perm(pg.degree)
-    return all(p[0] != 0 for p in perms if p != ident)

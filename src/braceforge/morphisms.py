@@ -1,4 +1,4 @@
-"""Automorphism groups, isomorphism testing, characteristic subgroups, holomorphs."""
+"""Automorphism groups, isomorphism testing, characteristic subgroups."""
 
 from __future__ import annotations
 
@@ -6,8 +6,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Sequence
 
-from .groups import FiniteGroup, Subgroup, closure_of, left_regular, subgroups
-from .perms import Perm, PermGroup, minimal_generating_perms
+from .groups import FiniteGroup, Subgroup, closure_of, subgroups
+from .perms import Perm
 
 Table = tuple[tuple[int, ...], ...]
 
@@ -103,17 +103,19 @@ def _search_homs(src: Table, dst: Table, gens: Sequence[int],
 
 
 @lru_cache(maxsize=None)
-def automorphism_group(g: FiniteGroup) -> PermGroup:
-    """All automorphisms, by backtracking over images of a minimal generating set.
+def automorphism_group(g: FiniteGroup) -> tuple[Perm, ...]:
+    """All automorphisms as sorted maps, by backtracking over images of a
+    minimal generating set.
 
     Candidate images are pruned by element order; partial maps are closed under
-    products after each assignment, so contradictions are caught early.
+    products after each assignment, so contradictions are caught early.  The
+    search yields every automorphism, so no closure step follows.
     """
     gens = minimal_generating_indices(g)
     orders = g.element_orders
     candidates = [[b for b in g.elements() if orders[b] == orders[gen]] for gen in gens]
     maps = _search_homs(g.table, g.table, gens, candidates, None, first_only=False)
-    return PermGroup(degree=g.order, generators=tuple(sorted(maps)))
+    return tuple(sorted(maps))
 
 
 @dataclass(frozen=True)
@@ -151,19 +153,10 @@ def are_isomorphic(a: FiniteGroup, b: FiniteGroup) -> Isomorphism | None:
 
 def characteristic_subgroups(g: FiniteGroup) -> list[Subgroup]:
     """Subgroups mapped onto themselves by every automorphism."""
-    auts = automorphism_group(g).sorted_elements
+    auts = automorphism_group(g)
     out = []
     for s in subgroups(g):
         mset = set(s.members)
         if all(all(alpha[m] in mset for m in s.members) for alpha in auts):
             out.append(s)
     return out
-
-
-def holomorph(g: FiniteGroup) -> PermGroup:
-    """Permutations x -> a * alpha(x): the left translations extended by Aut."""
-    lam_gens = [g.table[a] for a in minimal_generating_indices(g)]
-    aut_gens = list(automorphism_group(g).generators)
-    if len(aut_gens) > 4:
-        aut_gens = list(minimal_generating_perms(automorphism_group(g).sorted_elements, g.order))
-    return PermGroup(degree=g.order, generators=tuple(lam_gens + aut_gens))

@@ -1,10 +1,8 @@
-"""Permutations of 0..n-1 as tuples, and permutation groups expanded by closure."""
+"""Permutations of 0..n-1 as tuples."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import cached_property
-from typing import Iterable, Sequence
+from typing import Sequence
 
 Perm = tuple[int, ...]
 
@@ -38,69 +36,3 @@ def perm_order(p: Perm) -> int:
         q = compose(q, p)
         k += 1
     return k
-
-
-def close_perms(seed: Iterable[Perm], degree: int) -> frozenset[Perm]:
-    """Smallest set containing the identity and the seed, closed under composition."""
-    ident = identity_perm(degree)
-    seen = {ident}
-    frontier = [ident]
-    gens = [tuple(g) for g in seed]
-    for g in gens:
-        if len(g) != degree or not is_permutation(g):
-            raise ValueError(f"not a permutation of degree {degree}: {g!r}")
-    while frontier:
-        nxt = []
-        for e in frontier:
-            for g in gens:
-                prod = compose(e, g)
-                if prod not in seen:
-                    seen.add(prod)
-                    nxt.append(prod)
-        frontier = nxt
-    return frozenset(seen)
-
-
-def minimal_generating_perms(perms: Sequence[Perm], degree: int) -> tuple[Perm, ...]:
-    """Greedy small generating set for a composition-closed collection of permutations."""
-    target = set(perms)
-    gens: list[Perm] = []
-    closed: frozenset[Perm] = close_perms([], degree)
-    for p in sorted(target):
-        if p not in closed:
-            gens.append(p)
-            closed = close_perms(gens, degree)
-            if len(closed) == len(target):
-                break
-    return tuple(gens)
-
-
-@dataclass(frozen=True)
-class PermGroup:
-    """Group of permutations of 0..degree-1, generated by `generators`.
-
-    Elements are expanded eagerly on first use and memoized.
-    """
-
-    degree: int
-    generators: tuple[Perm, ...]
-
-    def __post_init__(self) -> None:
-        for g in self.generators:
-            if len(g) != self.degree or not is_permutation(g):
-                raise ValueError(f"not a permutation of degree {self.degree}: {g!r}")
-
-    @cached_property
-    def elements(self) -> frozenset[Perm]:
-        return close_perms(self.generators, self.degree)
-
-    @cached_property
-    def sorted_elements(self) -> tuple[Perm, ...]:
-        return tuple(sorted(self.elements))
-
-    @property
-    def order(self) -> int:
-        return len(self.elements)
-
-    def __contains__(self, p: object) -> bool:
-        return p in self.elements

@@ -1,15 +1,22 @@
 """Brute-force reference implementations used to cross-check the fast paths.
 
 Everything here trades speed for obviousness: subsets are tested directly,
-bijections are tried exhaustively.  Keep the inputs small.
+bijections are tried exhaustively or searched pair by pair.  Keep the inputs
+small.
 """
 
 from __future__ import annotations
 
 from itertools import combinations, permutations
 
-from braceforge.braces import SkewBrace
+from braceforge.braces import (BraceValidationError, SkewBrace, brace_isomorphic,
+                               validate)
+from braceforge.census import CensusCapError, census
 from braceforge.groups import FiniteGroup
+
+ORACLE_MAX_ORDER = 6
+
+Table = tuple[tuple[int, ...], ...]
 
 
 def oracle_subgroups(g: FiniteGroup) -> list[tuple[int, ...]]:
@@ -51,6 +58,47 @@ def oracle_brace_isomorphic(x: SkewBrace, y: SkewBrace) -> bool:
                for a in range(n) for b in range(n)):
             return True
     return False
+
+
+def oracle_iso_partition(ops: list[SkewBrace]) -> tuple[tuple[int, ...], ...]:
+    """Isomorphism classes by pairwise bijection search: each brace joins the
+    first class whose representative it is isomorphic to."""
+    classes: list[list[int]] = []
+    for i, b in enumerate(ops):
+        for cls in classes:
+            if brace_isomorphic(ops[cls[0]], b) is not None:
+                cls.append(i)
+                break
+        else:
+            classes.append([i])
+    return tuple(sorted(tuple(c) for c in classes))
+
+
+def oracle_enumerate_circ(additive: FiniteGroup) -> list[Table]:
+    """Transport every census table of the same order through every
+    identity-fixing bijection and keep what validates."""
+    n = additive.order
+    if n > ORACLE_MAX_ORDER:
+        raise CensusCapError(f"oracle enumeration is capped at order {ORACLE_MAX_ORDER}")
+    out: set[Table] = set()
+    for entry in census(ORACLE_MAX_ORDER):
+        if entry.order != n:
+            continue
+        mt = entry.group.table
+        for rest in permutations(range(1, n)):
+            f = (0,) + rest
+            finv = [0] * n
+            for i, v in enumerate(f):
+                finv[v] = i
+            t = tuple(tuple(f[mt[finv[a]][finv[b]]] for b in range(n)) for a in range(n))
+            if t in out:
+                continue
+            try:
+                validate(additive, FiniteGroup.from_table(t))
+            except BraceValidationError:
+                continue
+            out.add(t)
+    return sorted(out)
 
 
 def oracle_conjugacy_classes(g: FiniteGroup) -> list[tuple[int, ...]]:

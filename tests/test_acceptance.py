@@ -20,8 +20,7 @@ from braceforge.classify import (c_group_check, heuristic_characteristic_count,
 from braceforge.constructions import (example_c2cubed, example_cn_even,
                                       example_p_odd, example_pq, example_q8,
                                       least_kappa)
-from braceforge.enumeration import (enumerate_circ, oracle_enumerate_circ,
-                                    reduce_up_to_iso)
+from braceforge.enumeration import enumerate_circ, reduce_up_to_iso
 from braceforge.groups import (is_normal, make_abelian, make_cyclic, make_dihedral,
                                semidirect_product, subgroups)
 from braceforge.jsonio import serialize, theorem_report_to_obj, canonical_bytes
@@ -31,6 +30,7 @@ from braceforge.report import hg_descriptor, render_dot, report_bundle
 
 from gamma_checks import (check_c2cubed_gamma, check_cn_even_gamma,
                           check_p_odd_gamma, check_pq_gamma, check_q8_gamma)
+from oracles import oracle_enumerate_circ, oracle_iso_partition
 
 GOOD_SET = ["C1", "C2", "C3", "C2xC2", "C5", "C7", "C9", "C11", "C13", "C15"]
 
@@ -144,6 +144,7 @@ def _all_circ_subgroups_are_ideals(b) -> bool:
 
 def test_criterion_05_property_suites_up_to_order_12(braces_up_to_12):
     violations = 0
+    partition_mismatches: list[str] = []
 
     for b in braces_up_to_12:
         if not _gamma_invariants_hold(b):
@@ -165,13 +166,16 @@ def test_criterion_05_property_suites_up_to_order_12(braces_up_to_12):
         normal = [s for s in subs if is_normal(e.group, s)]
         if left_ideals(almost_trivial(e.group)) != normal:
             violations += 1
-        # reduce_up_to_iso raises internally when its two methods disagree
-        reduce_up_to_iso(enumerate_circ(e.group))
+        enum = enumerate_circ(e.group)
+        if reduce_up_to_iso(enum).iso_classes != oracle_iso_partition(enum.operations):
+            partition_mismatches.append(e.label)
 
-    ok = violations == 0
+    ok = violations == 0 and partition_mismatches == []
     _verdict(5, ok, f"property suites over all {len(braces_up_to_12)} braces of "
-                    f"order <= 12 ({violations} violations)")
+                    f"order <= 12 ({violations} violations); Aut-orbit classes "
+                    f"equal the pairwise oracle's (mismatches: {partition_mismatches})")
     assert violations == 0
+    assert partition_mismatches == []
 
 
 def test_criterion_06_c_groups_over_c9_and_c15():

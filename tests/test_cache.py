@@ -75,6 +75,18 @@ def test_cached_enumeration_recovers_from_corruption(tmp_path):
     assert json.loads(entry.read_bytes())["key"] != "something else"
 
 
+def test_cached_enumeration_recovers_from_undecodable_table(tmp_path):
+    g = census_lookup("C4")
+    cached_enumeration(g, tmp_path)
+    entry = next(tmp_path.glob("*.json"))
+    obj = json.loads(entry.read_bytes())
+    obj["payload"]["operations"][1]["circ"][0] = [1, 1, 2, 3]  # row without the identity
+    entry.write_text(json.dumps(obj))
+    with pytest.warns(UserWarning, match="corrupt cache entry"):
+        assert cached_enumeration(g, tmp_path) == enumerate_circ(g)
+    assert json.loads(entry.read_bytes())["payload"]["operations"][1]["circ"][0] != [1, 1, 2, 3]
+
+
 def test_verdict_cache_round_trip(tmp_path):
     g = census_lookup("Q8")
     assert cached_verdict(g, False, tmp_path) is None
@@ -83,6 +95,17 @@ def test_verdict_cache_round_trip(tmp_path):
     assert cached_verdict(g, False, tmp_path) == v
     # exhaustive flag is part of the key
     assert cached_verdict(g, True, tmp_path) is None
+
+
+def test_cached_verdict_recovers_from_undecodable_table(tmp_path):
+    g = census_lookup("Q8")
+    store_verdict(g, False, is_good(g), tmp_path)
+    entry = next(tmp_path.glob("*.json"))
+    obj = json.loads(entry.read_bytes())
+    obj["payload"]["witness"]["brace"]["circ"][0] = [1, 1, 2, 3, 4, 5, 6, 7]
+    entry.write_text(json.dumps(obj))
+    with pytest.warns(UserWarning, match="corrupt cache entry"):
+        assert cached_verdict(g, False, tmp_path) is None
 
 
 def test_is_good_uses_cache(tmp_path):

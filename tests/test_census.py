@@ -102,7 +102,7 @@ def _all_candidates(max_order: int) -> list[FiniteGroup]:
     for a_order in range(1, max_order + 1):
         for factors in _partitions_into_prime_powers(a_order):
             a = make_abelian(factors) if factors else make_cyclic(1)
-            auts = automorphism_group(a).sorted_elements
+            auts = automorphism_group(a)
             for b_order in range(2, max_order // a_order + 1):
                 # a homomorphism C_b -> Aut(A) is a choice of image for the
                 # generator with order dividing b

@@ -65,6 +65,17 @@ def test_is_good_exhaustive_mode_q8():
     assert census_label(full.witness.brace.circ) == "C2xC2xC2"
 
 
+def test_exhaustive_mode_scans_every_operation(monkeypatch):
+    import braceforge.classify as classify
+    calls = []
+    real = classify._first_failure
+    monkeypatch.setattr(classify, "_first_failure", lambda b: calls.append(b) or real(b))
+    g = census_lookup("C2xC2xC2")
+    v = is_good(g, exhaustive=True)
+    assert len(calls) == v.braces_examined == enumerate_circ(g).count == 232
+    assert not v.good and v.exhaustive
+
+
 def test_verify_witness_rejects_tampering():
     w = is_good(census_lookup("Q8")).witness
     verify_witness(w)

@@ -15,7 +15,7 @@ from braceforge.cli import main
 from braceforge.constructions import example_q8
 from braceforge.groups import make_cyclic
 from braceforge.jsonio import (brace_to_obj, canonical_dumps, group_to_obj, parse)
-from braceforge.report import hg_descriptor
+from braceforge.report import hg_descriptor, render_dot
 
 
 def run(capsys, *argv: str) -> tuple[int, str, str]:
@@ -313,6 +313,22 @@ def test_hg_report_file_json(capsys, tmp_path):
     assert bundle.timing_ms is None
 
 
+def test_hg_report_json_dot_builds_descriptor_once(capsys, monkeypatch, tmp_path):
+    import braceforge.cli as cli
+    import braceforge.report as report
+    calls = []
+    real = report.hg_descriptor
+    counted = lambda b: calls.append(b) or real(b)
+    monkeypatch.setattr(report, "hg_descriptor", counted)
+    monkeypatch.setattr(cli, "hg_descriptor", counted, raising=False)
+    dot_path = tmp_path / "lattice.dot"
+    code, out, _ = run(capsys, "hg", "report", "almost-trivial:S3", "--json",
+                       "--dot", str(dot_path))
+    assert code == 0
+    assert len(calls) == 1
+    assert dot_path.read_text() == render_dot(parse(out.encode("utf-8")).descriptor)
+
+
 def test_hg_report_unknown_sugar_label(capsys):
     code, _, err = run(capsys, "hg", "report", "trivial:NOPE")
     assert code == 2 and "available" in err
@@ -323,6 +339,16 @@ def test_module_entry_point_runs():
                           capture_output=True, text=True)
     assert proc.returncode == 0
     assert proc.stdout.splitlines()[0] == "C1  (order 1)"
+
+
+def test_closed_stdout_exits_2_without_traceback():
+    proc = subprocess.Popen([sys.executable, "-m", "braceforge", "group", "show", "C15"],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    proc.stderr.close()
+    assert proc.wait() == 2
+    assert "Traceback" not in err and "Exception ignored" not in err, err
 
 
 def test_cli_subprocess_deterministic_across_worker_counts(tmp_path):

@@ -10,10 +10,12 @@ import pytest
 from braceforge.braces import almost_trivial, trivial
 from braceforge.census import CensusCapError, census, census_label, census_lookup
 from braceforge.enumeration import (braces_with_mult_group, enumerate_circ,
-                                    mult_type_census, oracle_enumerate_circ,
-                                    reduce_up_to_iso, with_mult_types)
+                                    mult_type_census, reduce_up_to_iso,
+                                    with_mult_types)
 from braceforge.groups import make_cyclic, transport
 from braceforge.morphisms import are_isomorphic
+
+from oracles import oracle_enumerate_circ
 
 # (label, operation count, isomorphism class count); class counts above order
 # 12 omitted because the acceptance gate only needs reductions up to 12

@@ -3,10 +3,10 @@ import pytest
 from oracles import oracle_element_order, oracle_subgroups
 
 from braceforge.groups import (CayleyTableError, FiniteGroup, Subgroup, closure_of,
-                               direct_product, is_normal, is_regular, left_regular,
-                               make_abelian, make_alternating4, make_cyclic,
-                               make_dicyclic, make_dihedral, make_quaternion8, relabel,
-                               right_regular, semidirect_product, subgroups, transport)
+                               direct_product, is_normal, make_abelian,
+                               make_alternating4, make_cyclic, make_dicyclic,
+                               make_dihedral, make_quaternion8, relabel,
+                               semidirect_product, subgroups, transport)
 
 
 # ---------------------------------------------------------------------------
@@ -228,39 +228,3 @@ def test_is_normal():
     reflection = Subgroup.from_members(g, [0, 3])
     assert is_normal(g, rotations)
     assert not is_normal(g, reflection)
-
-
-# ---------------------------------------------------------------------------
-# Regular representations
-# ---------------------------------------------------------------------------
-
-def test_left_regular_is_regular():
-    g = make_dihedral(8)
-    pg = left_regular(g)
-    assert pg.order == 8
-    assert is_regular(pg, pg.elements)
-    # lambda_a(x) = a * x
-    for a in range(8):
-        assert pg.generators[a] == tuple(g.mul(a, x) for x in range(8))
-
-
-def test_right_regular_commutes_with_left():
-    from braceforge.perms import compose
-    g = make_dihedral(8)
-    lam = left_regular(g).generators
-    rho = right_regular(g).generators
-    for a in range(8):
-        for b in range(8):
-            assert compose(lam[a], rho[b]) == compose(rho[b], lam[a])
-
-
-def test_is_regular_rejects_and_detects():
-    g = make_cyclic(4)
-    pg = left_regular(g)
-    assert is_regular(pg, pg.elements)
-    # a proper closed subgroup is not regular (too small)
-    assert not is_regular(pg, {(0, 1, 2, 3), (2, 3, 0, 1)})
-    with pytest.raises(ValueError, match="not contained"):
-        is_regular(pg, {(0, 2, 1, 3)})
-    with pytest.raises(ValueError, match="not closed"):
-        is_regular(pg, {(0, 1, 2, 3), (1, 2, 3, 0)})

@@ -5,8 +5,8 @@ from oracles import oracle_automorphisms
 from braceforge.census import census_lookup
 from braceforge.groups import make_abelian, make_cyclic, make_dihedral, make_quaternion8, transport
 from braceforge.morphisms import (Isomorphism, are_isomorphic, automorphism_group,
-                                  characteristic_subgroups, holomorph,
-                                  minimal_generating_indices, propagate_partial_map)
+                                  characteristic_subgroups, minimal_generating_indices,
+                                  propagate_partial_map)
 
 
 def test_minimal_generating_indices():
@@ -36,11 +36,11 @@ def test_automorphisms_match_oracle(census15):
     for e in census15:
         if e.order > 8:
             continue
-        fast = automorphism_group(e.group).sorted_elements
-        assert list(fast) == oracle_automorphisms(e.group)
+        assert automorphism_group(e.group) == tuple(oracle_automorphisms(e.group))
 
 
 @pytest.mark.parametrize("label, expected", [
+    ("C5", 4),
     ("C2xC2", 6),
     ("C2xC2xC2", 168),
     ("Q8", 24),
@@ -51,7 +51,7 @@ def test_automorphisms_match_oracle(census15):
     ("A4", 24),
 ])
 def test_automorphism_group_orders(label, expected):
-    assert automorphism_group(census_lookup(label)).order == expected
+    assert len(automorphism_group(census_lookup(label))) == expected
 
 
 def test_are_isomorphic_finds_map():
@@ -99,24 +99,7 @@ def test_characteristic_subgroup_counts(label, expected):
 
 def test_characteristic_subgroups_are_aut_stable():
     g = census_lookup("D8")
-    auts = automorphism_group(g).sorted_elements
+    auts = automorphism_group(g)
     for s in characteristic_subgroups(g):
         for f in auts:
             assert {f[m] for m in s.members} == set(s.members)
-
-
-def test_holomorph_orders():
-    # |Hol(G)| = |G| * |Aut(G)|
-    assert holomorph(make_cyclic(5)).order == 20
-    assert holomorph(make_abelian([2, 2])).order == 24
-    assert holomorph(make_quaternion8()).order == 192
-
-
-def test_holomorph_contains_left_translations():
-    from braceforge.groups import left_regular
-    g = make_cyclic(6)
-    hol = holomorph(g)
-    for lam in left_regular(g).generators:
-        assert lam in hol
-    for alpha in automorphism_group(g).sorted_elements:
-        assert alpha in hol

@@ -1,7 +1,6 @@
 import pytest
 
-from braceforge.perms import (PermGroup, close_perms, compose, identity_perm, invert,
-                              is_permutation, minimal_generating_perms, perm_order)
+from braceforge.perms import compose, identity_perm, invert, is_permutation, perm_order
 
 
 def test_identity_perm():
@@ -39,35 +38,3 @@ def test_invert():
 ])
 def test_perm_order(p, expected):
     assert perm_order(p) == expected
-
-
-def test_close_perms_generates_s3():
-    s3 = close_perms([(1, 0, 2), (0, 2, 1)], 3)
-    assert len(s3) == 6
-
-
-def test_close_perms_empty_seed_is_trivial():
-    assert close_perms([], 3) == frozenset({(0, 1, 2)})
-
-
-def test_minimal_generating_perms_covers_group():
-    full = close_perms([(1, 0, 2, 3), (1, 2, 3, 0)], 4)
-    assert len(full) == 24
-    gens = minimal_generating_perms(sorted(full), 4)
-    assert close_perms(gens, 4) == full
-    assert len(gens) < 24
-
-
-def test_perm_group_basics():
-    g = PermGroup(degree=3, generators=((1, 2, 0),))
-    assert g.order == 3
-    assert (2, 0, 1) in g
-    assert (1, 0, 2) not in g
-    assert g.sorted_elements == tuple(sorted(g.elements))
-
-
-def test_perm_group_rejects_bad_generator():
-    with pytest.raises(ValueError):
-        PermGroup(degree=3, generators=((0, 0, 1),))
-    with pytest.raises(ValueError):
-        PermGroup(degree=3, generators=((0, 1),))
