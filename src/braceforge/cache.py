@@ -1,9 +1,14 @@
-"""Content-addressed file cache for enumerations and goodness verdicts.
+"""Content-addressed file cache for enumerations and bad goodness verdicts.
 
 Entries are keyed by tool version, group label, and a digest of the Cayley
 table, so a changed table or a new release simply misses instead of serving
-stale data.  Writes go through a temp file and an atomic rename; corrupt
-entries are recomputed and overwritten with a warning.
+stale data.  Writes go through a temp file and an atomic rename.
+
+Nothing read back is taken on faith: entries decode through the validating
+parser that reads user input.  Enumerations serve `brace enumerate` only and
+never feed a verdict.  Only bad verdicts are stored, and one is used only
+after its witness replays; a good verdict has no witness, so it is always
+recomputed.  An entry that fails any check is recomputed with a warning.
 """
 
 from __future__ import annotations
@@ -17,7 +22,7 @@ from pathlib import Path
 
 from . import __version__
 from .braces import SkewBrace
-from .census import CENSUS_MAX_ORDER, CensusCapError, census
+from .classify import Verdict, verify_witness
 from .enumeration import BraceEnumeration, enumerate_circ
 from .groups import FiniteGroup
 
@@ -62,6 +67,10 @@ def _atomic_write(path: Path, data: bytes) -> None:
         raise
 
 
+def _corrupt(path: Path, reason) -> None:
+    warnings.warn(f"corrupt cache entry {path.name} ({reason}); recomputing")
+
+
 def _load_payload(path: Path, key: str):
     """Return the stored payload, or None on a miss or any corruption."""
     try:
@@ -74,7 +83,7 @@ def _load_payload(path: Path, key: str):
             raise ValueError("key mismatch")
         return obj["payload"]
     except (ValueError, KeyError, UnicodeDecodeError) as exc:
-        warnings.warn(f"corrupt cache entry {path.name} ({exc}); recomputing")
+        _corrupt(path, exc)
         return None
 
 
@@ -86,7 +95,7 @@ def _store_payload(path: Path, key: str, payload) -> None:
 
 def cached_enumeration(group: FiniteGroup,
                        cache_dir: str | os.PathLike | None = None) -> BraceEnumeration:
-    """enumerate_circ with a read-through file cache."""
+    """enumerate_circ with a read-through file cache; every table is re-validated on load."""
     from .jsonio import enumeration_from_obj, enumeration_to_obj
 
     directory = resolve_cache_dir(cache_dir)
@@ -95,52 +104,53 @@ def cached_enumeration(group: FiniteGroup,
     payload = _load_payload(path, key)
     if payload is not None:
         try:
-            stored = enumeration_from_obj(payload, trusted=True)
-            if stored.additive.table == group.table:
-                return BraceEnumeration(additive=group, operations=tuple(
-                    SkewBrace(dot=group, circ=b.circ, label=b.label)
-                    for b in stored.operations),
-                    iso_classes=stored.iso_classes, by_mult_type=stored.by_mult_type)
-            warnings.warn(f"corrupt cache entry {path.name} (table mismatch); recomputing")
-        except ValueError as exc:  # SchemaError, or tables that break FiniteGroup
-            warnings.warn(f"corrupt cache entry {path.name} ({exc}); recomputing")
+            stored = enumeration_from_obj(payload)
+            tables = [b.circ.table for b in stored.operations]
+            if stored.additive.table != group.table or tables != sorted(set(tables)):
+                raise ValueError("not the canonical enumeration of this group")
+            # labels are re-derived as enumerate_circ makes them, not read back
+            return BraceEnumeration(additive=group, operations=tuple(
+                SkewBrace(dot=group, circ=b.circ, label=f"{group.label}-op{i}")
+                for i, b in enumerate(stored.operations)))
+        except ValueError as exc:  # SchemaError, CayleyTableError, BraceValidationError
+            _corrupt(path, exc)
     enum = enumerate_circ(group)
     _store_payload(path, key, enumeration_to_obj(enum))
     return enum
 
 
+def _verdict_path(group: FiniteGroup, exhaustive: bool, cache_dir) -> tuple[Path, str]:
+    key = _entry_key("verdict", group, "exhaustive" if exhaustive else "first")
+    return _entry_path(resolve_cache_dir(cache_dir), key), key
+
+
 def cached_verdict(group: FiniteGroup, exhaustive: bool,
-                   cache_dir: str | os.PathLike | None = None):
-    """Stored goodness verdict, or None when absent or unreadable."""
+                   cache_dir: str | os.PathLike | None = None) -> Verdict | None:
+    """A stored bad verdict whose witness replays on this group, or None."""
     from .jsonio import verdict_from_obj
 
-    directory = resolve_cache_dir(cache_dir)
-    key = _entry_key("verdict", group, "exhaustive" if exhaustive else "first")
-    payload = _load_payload(_entry_path(directory, key), key)
+    path, key = _verdict_path(group, exhaustive, cache_dir)
+    payload = _load_payload(path, key)
     if payload is None:
         return None
     try:
-        return verdict_from_obj(payload, trusted=True)
-    except ValueError as exc:  # SchemaError, or tables that break FiniteGroup
-        warnings.warn(f"corrupt cache entry for {group.label or 'group'} ({exc}); recomputing")
+        v = verdict_from_obj(payload)
+        if (v.good or v.witness is None or v.group_label != group.label
+                or v.exhaustive != exhaustive or v.witness.brace.dot.table != group.table):
+            raise ValueError("not a bad verdict with a witness for this group and mode")
+        verify_witness(v.witness)
+    except ValueError as exc:  # SchemaError, CayleyTableError, BraceValidationError, replay
+        _corrupt(path, exc)
         return None
+    return v
 
 
-def store_verdict(group: FiniteGroup, exhaustive: bool, verdict,
+def store_verdict(group: FiniteGroup, exhaustive: bool, verdict: Verdict,
                   cache_dir: str | os.PathLike | None = None) -> None:
+    """Store a bad verdict; a good one has no witness to replay and is not kept."""
     from .jsonio import verdict_to_obj
 
-    directory = resolve_cache_dir(cache_dir)
-    key = _entry_key("verdict", group, "exhaustive" if exhaustive else "first")
-    _store_payload(_entry_path(directory, key), key, verdict_to_obj(verdict))
-
-
-def census_cache(order: int,
-                 cache_dir: str | os.PathLike | None = None) -> dict[str, BraceEnumeration]:
-    """Cache-backed enumerations for every group of the given order."""
-    if order < 1:
-        raise ValueError(f"order must be positive, got {order}")
-    if order > CENSUS_MAX_ORDER:
-        raise CensusCapError(f"cache is capped at order {CENSUS_MAX_ORDER}, got {order}")
-    return {e.label: cached_enumeration(e.group, cache_dir)
-            for e in census(order) if e.order == order}
+    if verdict.witness is None:
+        return
+    path, key = _verdict_path(group, exhaustive, cache_dir)
+    _store_payload(path, key, verdict_to_obj(verdict))

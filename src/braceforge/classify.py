@@ -8,6 +8,7 @@ for prime divisors p, q of the order.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -44,6 +45,8 @@ def verify_witness(w: Witness) -> None:
     """Re-derive everything the witness claims; raises ValueError when it lies."""
     b = validate(w.brace.dot, w.brace.circ, label=w.brace.label)
     ms = set(w.subgroup)
+    if list(w.subgroup) != sorted(ms) or not all(0 <= v < b.order for v in (*ms, *w.failing)):
+        raise ValueError("witness indices must be distinct, sorted and in range")
     if not ms or 0 not in ms:
         raise ValueError("witness subgroup must contain the identity")
     ct = b.circ.table
@@ -76,17 +79,17 @@ def is_good(group: FiniteGroup, *, exhaustive: bool = False,
             cache_dir=None) -> Verdict:
     """Sweep every compatible circ operation; stop at the first bad brace unless
     `exhaustive` forces the full scan (the recorded witness is the first failure
-    either way)."""
+    either way).  With a cache_dir, a stored bad verdict is used once its witness
+    replays; the sweep itself never reads the cached enumeration."""
     if cache_dir is not None:
-        from .cache import cached_enumeration, cached_verdict, store_verdict
+        from .cache import cached_verdict, store_verdict
         hit = cached_verdict(group, exhaustive, cache_dir)
         if hit is not None:
             return hit
-        enum = cached_enumeration(group, cache_dir)
-        verdict = _scan_enumeration(group, enum, exhaustive)
+    verdict = _scan_enumeration(group, enumerate_circ(group), exhaustive)
+    if cache_dir is not None:
         store_verdict(group, exhaustive, verdict, cache_dir)
-        return verdict
-    return _scan_enumeration(group, enumerate_circ(group), exhaustive)
+    return verdict
 
 
 def _scan_enumeration(group: FiniteGroup, enum, exhaustive: bool) -> Verdict:
@@ -166,6 +169,8 @@ def verify_theorem(max_order: int = CENSUS_MAX_ORDER, *, exhaustive: bool = Fals
     if max_order > CENSUS_MAX_ORDER:
         raise CensusCapError(f"verification is capped at order {CENSUS_MAX_ORDER}")
     tasks = [(e.group, exhaustive, cache_dir) for e in census(max_order)]
+    # the pool starts every worker at once, so never ask for more than can run
+    workers = min(workers, len(tasks), os.cpu_count() or 1)
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=workers) as pool:

@@ -142,7 +142,7 @@ def enumerate_circ(additive: FiniteGroup) -> BraceEnumeration:
         circ = FiniteGroup.from_table(t, label=f"{additive.label}-circ{i}")
         try:
             ops.append(validate(additive, circ, label=f"{additive.label}-op{i}"))
-        except BraceValidationError as exc:  # pragma: no cover - internal fault
+        except BraceValidationError as exc:  # an internal fault
             raise RuntimeError(f"decoded table failed validation: {exc}") from exc
     enum = BraceEnumeration(additive=additive, operations=tuple(ops))
     _ENUM_MEMO[key] = enum

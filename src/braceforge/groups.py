@@ -8,7 +8,7 @@ table[a][b] = a*b.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from functools import cached_property, reduce
+from functools import cached_property
 from typing import Iterable, Sequence
 
 from .perms import compose, identity_perm, is_permutation
@@ -57,12 +57,6 @@ class FiniteGroup:
                     if rab[c] != ra[rb[c]]:
                         raise CayleyTableError(f"not associative at ({a}, {b}, {c})")
         return cls(table=table, inv=tuple(inv), label=label)
-
-    @classmethod
-    def unchecked(cls, rows: Sequence[Sequence[int]], label: str = "") -> "FiniteGroup":
-        """Skip axiom checks; only for tables a content digest already vouches for."""
-        table = tuple(tuple(row) for row in rows)
-        return cls(table=table, inv=tuple(row.index(0) for row in table), label=label)
 
     @property
     def order(self) -> int:

@@ -3,7 +3,8 @@
 Serialization is deterministic (sorted keys, fixed indentation) so equal
 objects always produce identical bytes.  Parsing validates shape with
 JSON-path context in every error, then runs the full mathematical validation
-unless the payload is an internally trusted cache entry.
+(FiniteGroup.from_table and braces.validate) on every table.  There is one
+decode path: user files and cache entries are parsed alike.
 """
 
 from __future__ import annotations
@@ -46,6 +47,10 @@ def _expect_dict(obj: Any, path: str, keys: set[str]) -> dict:
     return obj
 
 
+def _is_int(v: Any) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
 def _expect_table(obj: Any, n: int, path: str) -> list[list[int]]:
     if not isinstance(obj, list) or len(obj) != n:
         raise SchemaError(path, f"expected a list of {n} rows")
@@ -53,7 +58,7 @@ def _expect_table(obj: Any, n: int, path: str) -> list[list[int]]:
         if not isinstance(row, list) or len(row) != n:
             raise SchemaError(f"{path}[{i}]", f"expected a list of {n} ints")
         for j, v in enumerate(row):
-            if not isinstance(v, int) or isinstance(v, bool):
+            if not _is_int(v):
                 raise SchemaError(f"{path}[{i}][{j}]", "expected an int")
     return obj
 
@@ -82,19 +87,20 @@ def brace_to_obj(b: SkewBrace) -> dict:
             "circ": [list(r) for r in b.circ.table]}
 
 
-def brace_from_obj(obj: Any, path: str = "$", trusted: bool = False) -> SkewBrace:
+def _brace_fields(obj: Any, path: str) -> tuple[str, list[list[int]], list[list[int]]]:
     d = _expect_dict(obj, path, {"order", "label", "dot", "circ"})
-    if not isinstance(d["order"], int) or d["order"] < 1:
+    if not _is_int(d["order"]) or d["order"] < 1:
         raise SchemaError(f"{path}.order", "expected a positive int")
     if not isinstance(d["label"], str):
         raise SchemaError(f"{path}.label", "expected a string")
-    dot_rows = _expect_table(d["dot"], d["order"], f"{path}.dot")
-    circ_rows = _expect_table(d["circ"], d["order"], f"{path}.circ")
-    if trusted:
-        return SkewBrace(dot=FiniteGroup.unchecked(dot_rows),
-                         circ=FiniteGroup.unchecked(circ_rows), label=d["label"])
+    return (d["label"], _expect_table(d["dot"], d["order"], f"{path}.dot"),
+            _expect_table(d["circ"], d["order"], f"{path}.circ"))
+
+
+def brace_from_obj(obj: Any, path: str = "$") -> SkewBrace:
+    label, dot_rows, circ_rows = _brace_fields(obj, path)
     return validate(FiniteGroup.from_table(dot_rows),
-                    FiniteGroup.from_table(circ_rows), label=d["label"])
+                    FiniteGroup.from_table(circ_rows), label=label)
 
 
 # ---------------------------------------------------------------------------
@@ -111,17 +117,19 @@ def enumeration_to_obj(e: BraceEnumeration) -> dict:
     }
 
 
-def enumeration_from_obj(obj: Any, path: str = "$", trusted: bool = False) -> BraceEnumeration:
+def enumeration_from_obj(obj: Any, path: str = "$") -> BraceEnumeration:
     d = _expect_dict(obj, path, {"additive", "operations", "iso_classes", "by_mult_type"})
     additive = group_from_obj(d["additive"], f"{path}.additive")
     if not isinstance(d["operations"], list):
         raise SchemaError(f"{path}.operations", "expected a list")
     ops = []
     for i, ob in enumerate(d["operations"]):
-        b = brace_from_obj(ob, f"{path}.operations[{i}]", trusted=trusted)
-        if b.dot.table != additive.table:
-            raise SchemaError(f"{path}.operations[{i}].dot", "dot table differs from additive")
-        ops.append(SkewBrace(dot=additive, circ=b.circ, label=b.label))
+        op_path = f"{path}.operations[{i}]"
+        label, dot_rows, circ_rows = _brace_fields(ob, op_path)
+        if tuple(map(tuple, dot_rows)) != additive.table:
+            raise SchemaError(f"{op_path}.dot", "dot table differs from additive")
+        # the additive table is already validated; each circ table is checked here
+        ops.append(validate(additive, FiniteGroup.from_table(circ_rows), label=label))
     iso = d["iso_classes"]
     if iso is not None:
         if not isinstance(iso, list) or not all(
@@ -148,13 +156,13 @@ def witness_to_obj(w: Witness) -> dict:
             "failing": list(w.failing), "kind": w.kind}
 
 
-def witness_from_obj(obj: Any, path: str = "$", trusted: bool = False) -> Witness:
+def witness_from_obj(obj: Any, path: str = "$") -> Witness:
     d = _expect_dict(obj, path, {"brace", "subgroup", "failing", "kind"})
-    brace = brace_from_obj(d["brace"], f"{path}.brace", trusted=trusted)
-    if not isinstance(d["subgroup"], list) or not all(isinstance(v, int) for v in d["subgroup"]):
+    brace = brace_from_obj(d["brace"], f"{path}.brace")
+    if not isinstance(d["subgroup"], list) or not all(map(_is_int, d["subgroup"])):
         raise SchemaError(f"{path}.subgroup", "expected a list of ints")
     if (not isinstance(d["failing"], list) or len(d["failing"]) != 2
-            or not all(isinstance(v, int) for v in d["failing"])):
+            or not all(map(_is_int, d["failing"]))):
         raise SchemaError(f"{path}.failing", "expected a pair of ints")
     if d["kind"] not in ("dot-closure", "gamma"):
         raise SchemaError(f"{path}.kind", "expected 'dot-closure' or 'gamma'")
@@ -168,17 +176,16 @@ def verdict_to_obj(v: Verdict) -> dict:
             "braces_examined": v.braces_examined, "exhaustive": v.exhaustive}
 
 
-def verdict_from_obj(obj: Any, path: str = "$", trusted: bool = False) -> Verdict:
+def verdict_from_obj(obj: Any, path: str = "$") -> Verdict:
     d = _expect_dict(obj, path, {"group", "good", "witness", "braces_examined", "exhaustive"})
     if not isinstance(d["group"], str):
         raise SchemaError(f"{path}.group", "expected a string")
     for key in ("good", "exhaustive"):
         if not isinstance(d[key], bool):
             raise SchemaError(f"{path}.{key}", "expected a bool")
-    if not isinstance(d["braces_examined"], int):
+    if not _is_int(d["braces_examined"]):
         raise SchemaError(f"{path}.braces_examined", "expected an int")
-    witness = None if d["witness"] is None else witness_from_obj(
-        d["witness"], f"{path}.witness", trusted=trusted)
+    witness = None if d["witness"] is None else witness_from_obj(d["witness"], f"{path}.witness")
     return Verdict(group_label=d["group"], good=d["good"], witness=witness,
                    braces_examined=d["braces_examined"], exhaustive=d["exhaustive"])
 

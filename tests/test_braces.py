@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-from itertools import permutations
-
 import pytest
 
 from braceforge.braces import (BraceRelationError, BraceValidationError, SkewBrace,

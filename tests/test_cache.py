@@ -12,9 +12,9 @@ from pathlib import Path
 import pytest
 
 from braceforge.cache import (CACHE_DIR_ENV, DEFAULT_CACHE_DIR, cached_enumeration,
-                              cached_verdict, census_cache, resolve_cache_dir,
-                              store_verdict, table_digest)
-from braceforge.census import CensusCapError, census_lookup
+                              cached_verdict, resolve_cache_dir, store_verdict,
+                              table_digest)
+from braceforge.census import census_lookup
 from braceforge.classify import is_good
 from braceforge.enumeration import enumerate_circ
 from braceforge.groups import transport
@@ -87,6 +87,24 @@ def test_cached_enumeration_recovers_from_undecodable_table(tmp_path):
     assert json.loads(entry.read_bytes())["payload"]["operations"][1]["circ"][0] != [1, 1, 2, 3]
 
 
+def test_cached_enumeration_keeps_only_what_replays(tmp_path):
+    g = census_lookup("C4")
+    fresh = enumerate_circ(g)
+    cached_enumeration(g, tmp_path)
+    entry = next(tmp_path.glob("*.json"))
+    obj = json.loads(entry.read_bytes())
+    obj["payload"]["operations"][0]["label"] = "forged"  # labels are re-derived
+    obj["payload"]["iso_classes"] = [[0, 1]]  # and classes are never read back
+    entry.write_text(json.dumps(obj))
+    warm = cached_enumeration(g, tmp_path)
+    assert [b.label for b in warm.operations] == [b.label for b in fresh.operations]
+    assert warm.iso_classes is None
+    obj["payload"]["operations"].reverse()  # valid tables out of canonical order
+    entry.write_text(json.dumps(obj))
+    with pytest.warns(UserWarning, match="not the canonical enumeration"):
+        assert cached_enumeration(g, tmp_path).operations == fresh.operations
+
+
 def test_verdict_cache_round_trip(tmp_path):
     g = census_lookup("Q8")
     assert cached_verdict(g, False, tmp_path) is None
@@ -109,20 +127,16 @@ def test_cached_verdict_recovers_from_undecodable_table(tmp_path):
 
 
 def test_is_good_uses_cache(tmp_path):
-    g = census_lookup("C9")
+    g = census_lookup("Q8")
     miss = is_good(g, cache_dir=tmp_path)
+    assert not miss.good
     assert cached_verdict(g, False, tmp_path) == miss
     hit = is_good(g, cache_dir=tmp_path)
     assert hit == miss
-
-
-def test_census_cache(tmp_path):
-    enums = census_cache(4, tmp_path)
-    assert {label: e.count for label, e in enums.items()} == {"C4": 2, "C2xC2": 4}
-    with pytest.raises(ValueError, match="positive"):
-        census_cache(0, tmp_path)
-    with pytest.raises(CensusCapError, match="capped at order 15"):
-        census_cache(16, tmp_path)
+    # a good verdict has no witness to replay, so it is never stored
+    good = census_lookup("C9")
+    assert is_good(good, cache_dir=tmp_path / "good").good
+    assert not (tmp_path / "good").exists()
 
 
 _TIMING_SNIPPET = textwrap.dedent("""

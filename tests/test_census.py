@@ -7,8 +7,6 @@ so sweeping those constructions and deduplicating must reproduce the census.
 
 from __future__ import annotations
 
-from itertools import product
-
 import pytest
 
 from braceforge.census import (CENSUS_MAX_ORDER, CensusCapError, EXPECTED_COUNTS,

@@ -8,8 +8,7 @@ from dataclasses import replace
 import pytest
 
 from braceforge.braces import left_ideals
-from braceforge.census import (CensusCapError, census, census_label, census_labels,
-                               census_lookup)
+from braceforge.census import CensusCapError, census_label, census_labels, census_lookup
 from braceforge.classify import (c_group_check, direct_factor_witness,
                                  heuristic_characteristic_count,
                                  heuristic_subgroup_containment,
@@ -87,6 +86,13 @@ def test_verify_witness_rejects_tampering():
         verify_witness(replace(w, kind="mystery"))
     with pytest.raises(ValueError, match="identity"):
         verify_witness(replace(w, subgroup=tuple(m for m in w.subgroup if m != 0)))
+    # indices a cache file could smuggle in: negative ones would wrap around
+    with pytest.raises(ValueError, match="in range"):
+        verify_witness(replace(w, failing=(-1, w.failing[1])))
+    with pytest.raises(ValueError, match="in range"):
+        verify_witness(replace(w, subgroup=w.subgroup + (8,)))
+    with pytest.raises(ValueError, match="sorted"):
+        verify_witness(replace(w, subgroup=w.subgroup[::-1]))
 
 
 def test_verify_theorem_small():
@@ -101,6 +107,36 @@ def test_verify_theorem_small():
 
 def test_verify_theorem_worker_counts_agree():
     assert verify_theorem(8, workers=2) == verify_theorem(8, workers=1)
+
+
+def test_verify_theorem_clamps_workers(monkeypatch):
+    # a fake pool records what it was asked for; no process is ever started
+    import concurrent.futures
+    import braceforge.classify as classify
+    asked = []
+
+    class FakePool:
+        def __init__(self, max_workers):
+            asked.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FakePool)
+    monkeypatch.setattr(classify.os, "cpu_count", lambda: 4)
+    assert verify_theorem(8, workers=100000) == verify_theorem(8)
+    assert asked == [4]  # capped by the CPU count
+    assert verify_theorem(2, workers=100000) == verify_theorem(2)
+    assert asked == [4, 2]  # capped by the two tasks, C1 and C2
+    monkeypatch.setattr(classify.os, "cpu_count", lambda: None)
+    assert verify_theorem(8, workers=3) == verify_theorem(8)
+    assert asked == [4, 2]  # an unknown CPU count runs serially
 
 
 def test_verify_theorem_cap():

@@ -7,10 +7,7 @@ import re
 import subprocess
 import sys
 
-import pytest
-
 from braceforge import __version__
-from braceforge.census import census_lookup
 from braceforge.cli import main
 from braceforge.constructions import example_q8
 from braceforge.groups import make_cyclic

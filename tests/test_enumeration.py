@@ -7,12 +7,13 @@ from __future__ import annotations
 
 import pytest
 
+from braceforge import enumeration
 from braceforge.braces import almost_trivial, trivial
 from braceforge.census import CensusCapError, census, census_label, census_lookup
 from braceforge.enumeration import (braces_with_mult_group, enumerate_circ,
                                     mult_type_census, reduce_up_to_iso,
                                     with_mult_types)
-from braceforge.groups import make_cyclic, transport
+from braceforge.groups import CayleyTableError, make_cyclic, relabel, transport
 from braceforge.morphisms import are_isomorphic
 
 from oracles import oracle_enumerate_circ
@@ -148,6 +149,40 @@ def test_iso_classes_partition_and_separate():
 def test_enumeration_capped_at_15():
     with pytest.raises(CensusCapError, match="capped"):
         enumerate_circ(make_cyclic(16))
+
+
+def _corrupt_search(monkeypatch, corrupt):
+    real = enumeration._regular_subgroup_tables
+
+    def corrupted(g):
+        tables = [list(map(list, t)) for t in real(g)]
+        corrupt(tables)
+        return [tuple(map(tuple, t)) for t in tables]
+    monkeypatch.setattr(enumeration, "_regular_subgroup_tables", corrupted)
+
+
+def _swap_two_entries(tables):
+    row = tables[-1][1]
+    row[1], row[2] = row[2], row[1]
+
+
+def _foreign_group(tables):
+    # C4 relabelled by 1 <-> 2 is a group, but not compatible with additive C4
+    foreign = [list(r) for r in transport(census_lookup("C4"), (0, 2, 1, 3)).table]
+    assert foreign not in tables
+    tables[-1] = foreign
+
+
+@pytest.mark.parametrize("corrupt, error", [(_swap_two_entries, CayleyTableError),
+                                            (_foreign_group, RuntimeError)])
+def test_enumeration_gate_rejects_a_corrupted_search_table(monkeypatch, corrupt, error):
+    # the one check on each produced table is from_table + validate
+    g = relabel(census_lookup("C4"), "C4-fault")
+    assert (g.label, g.table) not in enumeration._ENUM_MEMO
+    _corrupt_search(monkeypatch, corrupt)
+    with pytest.raises(error):
+        enumerate_circ(g)
+    assert (g.label, g.table) not in enumeration._ENUM_MEMO
 
 
 def test_enumeration_memoized():

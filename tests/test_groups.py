@@ -45,20 +45,6 @@ def test_from_table_rejects_non_associative():
         FiniteGroup.from_table(rows)
 
 
-def test_unchecked_skips_validation():
-    # a non-associative latin square with identity 0: from_table refuses it,
-    # unchecked takes it as-is
-    rows = ((0, 1, 2, 3, 4),
-            (1, 0, 3, 4, 2),
-            (2, 4, 0, 1, 3),
-            (3, 2, 4, 0, 1),
-            (4, 3, 1, 2, 0))
-    g = FiniteGroup.unchecked(rows)
-    assert g.table == rows
-    with pytest.raises(CayleyTableError):
-        FiniteGroup.from_table(rows)
-
-
 # ---------------------------------------------------------------------------
 # Constructors
 # ---------------------------------------------------------------------------

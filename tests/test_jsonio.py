@@ -6,7 +6,7 @@ import json
 
 import pytest
 
-from braceforge.braces import BraceRelationError, almost_trivial, trivial
+from braceforge.braces import BraceRelationError, trivial
 from braceforge.census import census_lookup
 from braceforge.classify import is_good, verify_theorem
 from braceforge.constructions import example_q8
@@ -83,14 +83,6 @@ def test_brace_from_obj_rejects_corrupt_circ():
         brace_from_obj(obj)
 
 
-def test_brace_from_obj_trusted_skips_validation():
-    b = trivial(census_lookup("S3"))
-    obj = brace_to_obj(b)
-    obj["circ"] = [list(r) for r in census_lookup("C6").table]
-    got = brace_from_obj(obj, trusted=True)  # digest-vouched payloads only
-    assert got.circ.table == census_lookup("C6").table
-
-
 def test_enumeration_round_trip_with_classes_and_types():
     enum = with_mult_types(reduce_up_to_iso(enumerate_circ(census_lookup("C2xC2"))))
     data = canonical_bytes(enumeration_to_obj(enum))
@@ -131,6 +123,21 @@ def test_witness_from_obj_rejects_bad_kind():
     with pytest.raises(SchemaError) as exc:
         witness_from_obj(obj)
     assert exc.value.path == "$.kind"
+
+
+@pytest.mark.parametrize("field, path", [("subgroup", "$.witness.subgroup"),
+                                         ("failing", "$.witness.failing"),
+                                         ("braces_examined", "$.braces_examined")])
+def test_verdict_from_obj_rejects_bools_for_ints(field, path):
+    # JSON true is a Python int; it must not pass as an element index or a count
+    obj = verdict_to_obj(is_good(census_lookup("Q8")))
+    if field == "braces_examined":
+        obj[field] = True
+    else:
+        obj["witness"][field][-1] = True
+    with pytest.raises(SchemaError) as exc:
+        verdict_from_obj(obj)
+    assert exc.value.path == path
 
 
 def test_theorem_report_to_obj_shape():
