@@ -255,22 +255,10 @@ def direct_factor_witness(witness: Witness, other: FiniteGroup) -> Witness:
     verify_witness(witness)
     if other.order == 1:
         return witness
-    m_dot = witness.brace.dot
-    m_circ = witness.brace.circ
-    dot = direct_product(m_dot, other)
-    k = other.order
-    n = dot.order
-    rows = [[0] * n for _ in range(n)]
-    for x1 in range(m_dot.order):
-        for y1 in range(k):
-            row = rows[x1 * k + y1]
-            for x2 in range(m_dot.order):
-                cx = m_circ.table[x1][x2]
-                for y2 in range(k):
-                    row[x2 * k + y2] = cx * k + other.table[y1][y2]
-    circ = FiniteGroup.from_table(rows, label=f"{m_circ.label}x{other.label}")
+    dot = direct_product(witness.brace.dot, other)
+    circ = direct_product(witness.brace.circ, other)
     b = validate(dot, circ, label=f"{witness.brace.label}x{other.label}")
-    members = tuple(s * k for s in witness.subgroup)
+    members = tuple(s * other.order for s in witness.subgroup)
     flag = left_ideal_status(b, members)
     if flag.is_left_ideal:  # pragma: no cover - the lift always stays bad
         raise RuntimeError("lifted subgroup unexpectedly became a left ideal")

@@ -2,7 +2,8 @@
 
 Exit codes: 0 on success, 1 when a mathematical verification fails
 (theorem mismatch), 2 on usage errors, unknown labels, invalid input
-files, or a stdout closed before the output was written.
+files, files that cannot be written, or a stdout closed before the output
+was written.
 """
 
 from __future__ import annotations
@@ -382,6 +383,9 @@ def main(argv=None) -> int:
         devnull = os.open(os.devnull, os.O_WRONLY)
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)
+        return 2
+    except OSError as exc:  # an unwritable --dot path, a --cache-dir that is a file
+        print(f"error: {exc}", file=sys.stderr)
         return 2
     return code
 

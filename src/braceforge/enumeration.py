@@ -1,9 +1,10 @@
 """Every multiplicative operation compatible with a fixed additive group.
 
-The search walks regular subgroups of the holomorph: each element of the
-holomorph is a pair (translation t, automorphism alpha) acting as
-x -> t . alpha(x), and a compatible circ table corresponds exactly to a
-subgroup containing one element sending 0 to each point.
+The search walks regular subgroups of the holomorph.  A holomorph element is
+the permutation x -> t . alpha(x) of the group's elements, for a translation
+t and an automorphism alpha; it sends 0 to t, its slot.  A compatible circ
+table corresponds exactly to a subgroup holding one permutation in each slot,
+and row t of the table is the permutation in slot t.
 """
 
 from __future__ import annotations
@@ -13,8 +14,8 @@ from dataclasses import dataclass, replace
 from .braces import BraceValidationError, SkewBrace, validate
 from .census import CENSUS_MAX_ORDER, CensusCapError, census, label_or_unknown
 from .groups import FiniteGroup
-from .morphisms import automorphism_group
-from .perms import compose
+from .morphisms import automorphism_group, minimal_generating_indices
+from .perms import Perm, compose, identity_perm, perm_order
 
 Table = tuple[tuple[int, ...], ...]
 
@@ -33,92 +34,55 @@ class BraceEnumeration:
 
 def _regular_subgroup_tables(g: FiniteGroup) -> list[Table]:
     n = g.order
+    gens = minimal_generating_indices(g)
+    ident = identity_perm(n)
     auts = automorphism_group(g)
-    na = len(auts)
-    gt = g.table
-    aindex = {a: i for i, a in enumerate(auts)}
-    acomp = [[aindex[compose(auts[i], auts[j])] for j in range(na)] for i in range(na)]
-    total = n * na
-    tpart = [e // na for e in range(total)]
-    apart = [e % na for e in range(total)]
-    e_id = aindex[tuple(range(n))]
+    buckets: list[list[Perm]] = [[] for _ in range(n)]
+    for t in range(1, n):  # a second point-0 element always collides with the identity
+        for alpha in auts:
+            p = compose(g.table[t], alpha)
+            # only the identity of a regular subgroup fixes a point
+            if all(map(int.__ne__, p, ident)) and n % perm_order(p) == 0:
+                buckets[t].append(p)
+        buckets[t].sort()
 
-    def emul(e1: int, e2: int) -> int:
-        a1 = apart[e1]
-        return gt[tpart[e1]][auts[a1][tpart[e2]]] * na + acomp[a1][apart[e2]]
+    results: list[Table] = []
 
-    def eorder(e: int) -> int:
-        k = 1
-        x = e
-        while x != e_id:
-            x = emul(x, e)
-            k += 1
-        return k
-
-    def eperm(e: int) -> tuple[int, ...]:
-        row = gt[tpart[e]]
-        al = auts[apart[e]]
-        return tuple(row[al[x]] for x in range(n))
-
-    buckets: list[list[int]] = [[] for _ in range(n)]
-    for e in range(total):
-        t = tpart[e]
-        if t == 0:
-            continue  # a second point-0 element always collides with the identity
-        if n % eorder(e) == 0:
-            buckets[t].append(e)
-    for t in range(1, n):
-        buckets[t].sort(key=eperm)
-
-    results: list[tuple[int, ...]] = []
-
-    def try_extend(lst: list[int], st: set[int], cov: list[int], h: int):
-        lst2 = list(lst)
-        st2 = set(st)
-        cov2 = list(cov)
-        p = tpart[h]
-        if cov2[p] != -1:
+    def try_extend(cov: list[Perm | None], chosen: tuple[Perm, ...]) -> list[Perm | None] | None:
+        # the subgroup so far is closed under every chosen element but the
+        # last, h; adding h closes it under right multiplication by all of them
+        h = chosen[-1]
+        pending = [(x, h) for x in cov if x is not None] + [(h, s) for s in chosen]
+        cov = list(cov)
+        cov[h[0]] = h
+        while pending:  # newest products first, so a clash shows early
+            u, v = pending.pop()
+            w = cov[u[v[0]]]
+            if w is None:
+                w = compose(u, v)
+                cov[w[0]] = w
+                pending += [(w, s) for s in chosen]
+            # the images of 0 and of the generators fix a holomorph element
+            elif any(u[v[k]] != w[k] for k in gens):
+                return None
+        if n % (n - cov.count(None)) != 0:  # Lagrange
             return None
-        lst2.append(h)
-        st2.add(h)
-        cov2[p] = h
-        i = len(lst2) - 1
-        while i < len(lst2):
-            x = lst2[i]
-            i += 1
-            for j in range(len(lst2)):
-                y = lst2[j]
-                for prod in (emul(x, y), emul(y, x)):
-                    if prod not in st2:
-                        t = tpart[prod]
-                        if cov2[t] != -1:
-                            return None
-                        lst2.append(prod)
-                        st2.add(prod)
-                        cov2[t] = prod
-                        if len(lst2) > n:
-                            return None
-        if n % len(lst2) != 0:
-            return None
-        return lst2, st2, cov2
+        return cov
 
-    def search(lst: list[int], st: set[int], cov: list[int]) -> None:
-        if len(lst) == n:
+    def search(cov: list[Perm | None], chosen: tuple[Perm, ...]) -> None:
+        if None not in cov:
             results.append(tuple(cov))
             return
-        a = next(p for p in range(n) if cov[p] == -1)
-        for h in buckets[a]:
-            ext = try_extend(lst, st, cov, h)
+        slot = cov.index(None)
+        for h in buckets[slot]:
+            grown = chosen + (h,)
+            ext = try_extend(cov, grown)
             if ext is not None:
-                search(*ext)
+                search(ext, grown)
 
-    cov0 = [-1] * n
-    cov0[0] = e_id
-    search([e_id], {e_id}, cov0)
-
-    tables = [tuple(eperm(cov[p]) for p in range(n)) for cov in results]
-    tables.sort()
-    return tables
+    search([ident] + [None] * (n - 1), ())
+    results.sort()
+    return results
 
 
 _ENUM_MEMO: dict[tuple[str, Table], BraceEnumeration] = {}
@@ -128,8 +92,9 @@ def enumerate_circ(additive: FiniteGroup) -> BraceEnumeration:
     """All circ tables forming a skew brace with the given additive group.
 
     Operations come back sorted by circ table, so the order is canonical and
-    independent of how the search tree was walked.  Every decoded table is
-    re-validated; a failure there is an internal fault, not an input error.
+    independent of how the search tree was walked.  Every table the search
+    gives is validated; a failure there is an internal fault, not an input
+    error.
     """
     if additive.order > CENSUS_MAX_ORDER:
         raise CensusCapError(f"enumeration is capped at order {CENSUS_MAX_ORDER}")
@@ -143,7 +108,7 @@ def enumerate_circ(additive: FiniteGroup) -> BraceEnumeration:
         try:
             ops.append(validate(additive, circ, label=f"{additive.label}-op{i}"))
         except BraceValidationError as exc:  # an internal fault
-            raise RuntimeError(f"decoded table failed validation: {exc}") from exc
+            raise RuntimeError(f"search table failed validation: {exc}") from exc
     enum = BraceEnumeration(additive=additive, operations=tuple(ops))
     _ENUM_MEMO[key] = enum
     return enum

@@ -73,7 +73,7 @@ def group_to_obj(g: FiniteGroup) -> dict:
 
 def group_from_obj(obj: Any, path: str = "$") -> FiniteGroup:
     d = _expect_dict(obj, path, {"order", "label", "table"})
-    if not isinstance(d["order"], int) or d["order"] < 1:
+    if not _is_int(d["order"]) or d["order"] < 1:
         raise SchemaError(f"{path}.order", "expected a positive int")
     if not isinstance(d["label"], str):
         raise SchemaError(f"{path}.label", "expected a string")
@@ -133,13 +133,13 @@ def enumeration_from_obj(obj: Any, path: str = "$") -> BraceEnumeration:
     iso = d["iso_classes"]
     if iso is not None:
         if not isinstance(iso, list) or not all(
-                isinstance(c, list) and all(isinstance(v, int) for v in c) for c in iso):
+                isinstance(c, list) and all(map(_is_int, c)) for c in iso):
             raise SchemaError(f"{path}.iso_classes", "expected null or a list of int lists")
         iso = tuple(tuple(c) for c in iso)
     bmt = d["by_mult_type"]
     if bmt is not None:
         if not isinstance(bmt, dict) or not all(
-                isinstance(k, str) and isinstance(v, list) and all(isinstance(x, int) for x in v)
+                isinstance(k, str) and isinstance(v, list) and all(map(_is_int, v))
                 for k, v in bmt.items()):
             raise SchemaError(f"{path}.by_mult_type", "expected null or a map label -> int list")
         bmt = tuple(sorted((k, tuple(v)) for k, v in bmt.items()))
@@ -226,7 +226,7 @@ def descriptor_from_obj(obj: Any, path: str = "$") -> HGDescriptor:
         if not isinstance(d[key], bool):
             raise SchemaError(f"{path}.{key}", "expected a bool")
     if not isinstance(d["gamma_orbits"], list) or not all(
-            isinstance(o, list) and all(isinstance(v, int) for v in o)
+            isinstance(o, list) and all(map(_is_int, o))
             for o in d["gamma_orbits"]):
         raise SchemaError(f"{path}.gamma_orbits", "expected a list of int lists")
     if not isinstance(d["lattice"], list):
@@ -235,13 +235,13 @@ def descriptor_from_obj(obj: Any, path: str = "$") -> HGDescriptor:
     for i, eo in enumerate(d["lattice"]):
         ed = _expect_dict(eo, f"{path}.lattice[{i}]",
                           {"members", "is_left_ideal", "failing_pair", "failure_kind"})
-        if not isinstance(ed["members"], list) or not all(isinstance(v, int) for v in ed["members"]):
+        if not isinstance(ed["members"], list) or not all(map(_is_int, ed["members"])):
             raise SchemaError(f"{path}.lattice[{i}].members", "expected a list of ints")
         if not isinstance(ed["is_left_ideal"], bool):
             raise SchemaError(f"{path}.lattice[{i}].is_left_ideal", "expected a bool")
         fp = ed["failing_pair"]
         if fp is not None and (not isinstance(fp, list) or len(fp) != 2
-                               or not all(isinstance(v, int) for v in fp)):
+                               or not all(map(_is_int, fp))):
             raise SchemaError(f"{path}.lattice[{i}].failing_pair", "expected null or a pair")
         fk = ed["failure_kind"]
         if fk not in (None, "dot-closure", "gamma"):

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from math import lcm
 from typing import Sequence
 
 Perm = tuple[int, ...]
@@ -18,7 +19,7 @@ def is_permutation(p: Sequence[int]) -> bool:
 
 def compose(p: Perm, q: Perm) -> Perm:
     """p after q: compose(p, q)(x) == p[q[x]]."""
-    return tuple(p[i] for i in q)
+    return tuple(map(p.__getitem__, q))
 
 
 def invert(p: Perm) -> Perm:
@@ -29,10 +30,16 @@ def invert(p: Perm) -> Perm:
 
 
 def perm_order(p: Perm) -> int:
-    ident = identity_perm(len(p))
-    q = p
-    k = 1
-    while q != ident:
-        q = compose(q, p)
-        k += 1
-    return k
+    """The lcm of the cycle lengths."""
+    unseen = set(p)
+    order = 1
+    while unseen:
+        start = unseen.pop()
+        x = p[start]
+        length = 1
+        while x != start:
+            unseen.remove(x)
+            x = p[x]
+            length += 1
+        order = lcm(order, length)
+    return order

@@ -93,6 +93,15 @@ def test_group_show_rejects_bad_file(capsys, tmp_path):
     assert code == 2 and "missing keys" in err
 
 
+def test_group_show_rejects_bool_order(capsys, tmp_path):
+    # JSON true would otherwise pass as the int 1
+    path = tmp_path / "bool.json"
+    path.write_text('{"order": true, "label": "X", "table": [[0]]}')
+    code, out, err = run(capsys, "group", "show", str(path), "--json")
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and "$.order" in err
+
+
 def test_brace_enumerate_human(capsys):
     code, out, _ = run(capsys, "brace", "enumerate", "C2xC2", "--up-to-iso", "--no-cache")
     assert code == 0
@@ -346,6 +355,24 @@ def test_closed_stdout_exits_2_without_traceback():
     proc.stderr.close()
     assert proc.wait() == 2
     assert "Traceback" not in err and "Exception ignored" not in err, err
+
+
+def _assert_one_line_error(argv):
+    proc = subprocess.run([sys.executable, "-m", "braceforge", *argv],
+                          capture_output=True, text=True)
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1, proc.stderr
+
+
+def test_unwritable_dot_path_exits_2_without_traceback(tmp_path):
+    _assert_one_line_error(["hg", "report", "trivial:C2",
+                            "--dot", str(tmp_path / "missing" / "x.dot")])
+
+
+def test_cache_dir_that_is_a_file_exits_2_without_traceback(tmp_path):
+    path = tmp_path / "a-file"
+    path.write_text("")
+    _assert_one_line_error(["brace", "enumerate", "C2", "--cache-dir", str(path)])
 
 
 def test_cli_subprocess_deterministic_across_worker_counts(tmp_path):

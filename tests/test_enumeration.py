@@ -14,7 +14,7 @@ from braceforge.enumeration import (braces_with_mult_group, enumerate_circ,
                                     mult_type_census, reduce_up_to_iso,
                                     with_mult_types)
 from braceforge.groups import CayleyTableError, make_cyclic, relabel, transport
-from braceforge.morphisms import are_isomorphic
+from braceforge.morphisms import are_isomorphic, automorphism_group
 
 from oracles import oracle_enumerate_circ
 
@@ -183,6 +183,22 @@ def test_enumeration_gate_rejects_a_corrupted_search_table(monkeypatch, corrupt,
     with pytest.raises(error):
         enumerate_circ(g)
     assert (g.label, g.table) not in enumeration._ENUM_MEMO
+
+
+def test_search_composes_fewer_than_aut_squared_times(monkeypatch):
+    # holomorph elements are permutations composed on demand; a table of
+    # all automorphism compositions would cost |Aut|**2 = 168**2 here
+    g = census_lookup("C2xC2xC2")
+    real = enumeration.compose
+    calls = 0
+
+    def counting(p, q):
+        nonlocal calls
+        calls += 1
+        return real(p, q)
+    monkeypatch.setattr(enumeration, "compose", counting)
+    assert len(enumeration._regular_subgroup_tables(g)) == EXPECTED["C2xC2xC2"][0]
+    assert calls < len(automorphism_group(g)) ** 2
 
 
 def test_enumeration_memoized():

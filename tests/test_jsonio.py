@@ -125,18 +125,53 @@ def test_witness_from_obj_rejects_bad_kind():
     assert exc.value.path == "$.kind"
 
 
+def _q8_verdict():
+    return verdict_to_obj(is_good(census_lookup("Q8")))
+
+
+def _c4_enumeration():
+    return enumeration_to_obj(
+        with_mult_types(reduce_up_to_iso(enumerate_circ(census_lookup("C4")))))
+
+
+def _q8_descriptor():
+    return descriptor_to_obj(hg_descriptor(example_q8()))
+
+
+# field -> (encoded object, its decoder, the keys that lead to one int in it)
+_BOOL_CASES = {
+    "subgroup": (_q8_verdict, verdict_from_obj, ("witness", "subgroup", -1)),
+    "failing": (_q8_verdict, verdict_from_obj, ("witness", "failing", -1)),
+    "braces_examined": (_q8_verdict, verdict_from_obj, ("braces_examined",)),
+    "order": (lambda: group_to_obj(census_lookup("C1")), group_from_obj, ("order",)),
+    "iso_classes": (_c4_enumeration, enumeration_from_obj, ("iso_classes", -1, -1)),
+    "by_mult_type": (_c4_enumeration, enumeration_from_obj, ("by_mult_type", "C4", -1)),
+    "gamma_orbits": (_q8_descriptor, descriptor_from_obj, ("gamma_orbits", 1, -1)),
+    "members": (_q8_descriptor, descriptor_from_obj, ("lattice", 1, "members", -1)),
+    "failing_pair": (_q8_descriptor, descriptor_from_obj, ("lattice", 2, "failing_pair", -1)),
+}
+
+
 @pytest.mark.parametrize("field, path", [("subgroup", "$.witness.subgroup"),
                                          ("failing", "$.witness.failing"),
-                                         ("braces_examined", "$.braces_examined")])
+                                         ("braces_examined", "$.braces_examined"),
+                                         ("order", "$.order"),
+                                         ("iso_classes", "$.iso_classes"),
+                                         ("by_mult_type", "$.by_mult_type"),
+                                         ("gamma_orbits", "$.gamma_orbits"),
+                                         ("members", "$.lattice[1].members"),
+                                         ("failing_pair", "$.lattice[2].failing_pair")])
 def test_verdict_from_obj_rejects_bools_for_ints(field, path):
-    # JSON true is a Python int; it must not pass as an element index or a count
-    obj = verdict_to_obj(is_good(census_lookup("Q8")))
-    if field == "braces_examined":
-        obj[field] = True
-    else:
-        obj["witness"][field][-1] = True
+    # JSON true is a Python int; no decoder may take it as an element index,
+    # a count or an order
+    make, decode, keys = _BOOL_CASES[field]
+    obj = make()
+    target = obj
+    for key in keys[:-1]:
+        target = target[key]
+    target[keys[-1]] = True
     with pytest.raises(SchemaError) as exc:
-        verdict_from_obj(obj)
+        decode(obj)
     assert exc.value.path == path
 
 

@@ -35,6 +35,7 @@ def test_invert():
     ((1, 2, 0), 3),
     ((1, 0, 3, 2), 2),
     ((1, 2, 3, 0), 4),
+    ((1, 0, 3, 4, 2), 6),
 ])
 def test_perm_order(p, expected):
     assert perm_order(p) == expected
