@@ -1,14 +1,16 @@
-"""Content-addressed file cache for enumerations and bad goodness verdicts.
+"""Content-addressed file cache for bad goodness verdicts.
 
-Entries are keyed by tool version, group label, and a digest of the Cayley
-table, so a changed table or a new release simply misses instead of serving
-stale data.  Writes go through a temp file and an atomic rename.
+Entries are keyed by tool version, group label, a digest of the Cayley
+table, and the scan mode, so a changed table or a new release simply misses
+instead of serving stale data.  Writes go through a temp file and an atomic
+rename.
 
 Nothing read back is taken on faith: entries decode through the validating
-parser that reads user input.  Enumerations serve `brace enumerate` only and
-never feed a verdict.  Only bad verdicts are stored, and one is used only
-after its witness replays; a good verdict has no witness, so it is always
-recomputed.  An entry that fails any check is recomputed with a warning.
+parser that reads user input.  Only bad verdicts are stored, and one is used
+only after its witness replays; a good verdict has no witness, so it is
+always recomputed.  An entry that fails any check is recomputed with a
+warning.  Enumerations are not cached: validating a stored one costs about
+as much as recomputing it.
 """
 
 from __future__ import annotations
@@ -21,9 +23,7 @@ import warnings
 from pathlib import Path
 
 from . import __version__
-from .braces import SkewBrace
 from .classify import Verdict, verify_witness
-from .enumeration import BraceEnumeration, enumerate_circ
 from .groups import FiniteGroup
 
 DEFAULT_CACHE_DIR = ".braceforge-cache"
@@ -41,15 +41,6 @@ def resolve_cache_dir(explicit: str | os.PathLike | None = None) -> Path:
 
 def table_digest(g: FiniteGroup) -> str:
     return hashlib.sha256(repr(g.table).encode("ascii")).hexdigest()
-
-
-def _entry_key(kind: str, g: FiniteGroup, variant: str = "") -> str:
-    return f"{kind}:{__version__}:{g.label}:{table_digest(g)}:{variant}"
-
-
-def _entry_path(cache_dir: Path, key: str) -> Path:
-    name = hashlib.sha256(key.encode("utf-8")).hexdigest()[:32]
-    return cache_dir / f"{name}.json"
 
 
 def _atomic_write(path: Path, data: bytes) -> None:
@@ -82,7 +73,7 @@ def _load_payload(path: Path, key: str):
         if not isinstance(obj, dict) or obj.get("key") != key:
             raise ValueError("key mismatch")
         return obj["payload"]
-    except (ValueError, KeyError, UnicodeDecodeError) as exc:
+    except (ValueError, KeyError, UnicodeDecodeError, RecursionError) as exc:
         _corrupt(path, exc)
         return None
 
@@ -93,35 +84,12 @@ def _store_payload(path: Path, key: str, payload) -> None:
     _atomic_write(path, canonical_bytes({"key": key, "payload": payload}))
 
 
-def cached_enumeration(group: FiniteGroup,
-                       cache_dir: str | os.PathLike | None = None) -> BraceEnumeration:
-    """enumerate_circ with a read-through file cache; every table is re-validated on load."""
-    from .jsonio import enumeration_from_obj, enumeration_to_obj
-
-    directory = resolve_cache_dir(cache_dir)
-    key = _entry_key("enum", group)
-    path = _entry_path(directory, key)
-    payload = _load_payload(path, key)
-    if payload is not None:
-        try:
-            stored = enumeration_from_obj(payload)
-            tables = [b.circ.table for b in stored.operations]
-            if stored.additive.table != group.table or tables != sorted(set(tables)):
-                raise ValueError("not the canonical enumeration of this group")
-            # labels are re-derived as enumerate_circ makes them, not read back
-            return BraceEnumeration(additive=group, operations=tuple(
-                SkewBrace(dot=group, circ=b.circ, label=f"{group.label}-op{i}")
-                for i, b in enumerate(stored.operations)))
-        except ValueError as exc:  # SchemaError, CayleyTableError, BraceValidationError
-            _corrupt(path, exc)
-    enum = enumerate_circ(group)
-    _store_payload(path, key, enumeration_to_obj(enum))
-    return enum
-
-
-def _verdict_path(group: FiniteGroup, exhaustive: bool, cache_dir) -> tuple[Path, str]:
-    key = _entry_key("verdict", group, "exhaustive" if exhaustive else "first")
-    return _entry_path(resolve_cache_dir(cache_dir), key), key
+def _verdict_entry(group: FiniteGroup, exhaustive: bool, cache_dir) -> tuple[Path, str]:
+    """The entry file and the key stored in it for one group and scan mode."""
+    mode = "exhaustive" if exhaustive else "first"
+    key = f"verdict:{__version__}:{group.label}:{table_digest(group)}:{mode}"
+    name = hashlib.sha256(key.encode("utf-8")).hexdigest()[:32]
+    return resolve_cache_dir(cache_dir) / f"{name}.json", key
 
 
 def cached_verdict(group: FiniteGroup, exhaustive: bool,
@@ -129,7 +97,7 @@ def cached_verdict(group: FiniteGroup, exhaustive: bool,
     """A stored bad verdict whose witness replays on this group, or None."""
     from .jsonio import verdict_from_obj
 
-    path, key = _verdict_path(group, exhaustive, cache_dir)
+    path, key = _verdict_entry(group, exhaustive, cache_dir)
     payload = _load_payload(path, key)
     if payload is None:
         return None
@@ -152,5 +120,5 @@ def store_verdict(group: FiniteGroup, exhaustive: bool, verdict: Verdict,
 
     if verdict.witness is None:
         return
-    path, key = _verdict_path(group, exhaustive, cache_dir)
+    path, key = _verdict_entry(group, exhaustive, cache_dir)
     _store_payload(path, key, verdict_to_obj(verdict))

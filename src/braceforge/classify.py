@@ -80,7 +80,7 @@ def is_good(group: FiniteGroup, *, exhaustive: bool = False,
     """Sweep every compatible circ operation; stop at the first bad brace unless
     `exhaustive` forces the full scan (the recorded witness is the first failure
     either way).  With a cache_dir, a stored bad verdict is used once its witness
-    replays; the sweep itself never reads the cached enumeration."""
+    replays."""
     if cache_dir is not None:
         from .cache import cached_verdict, store_verdict
         hit = cached_verdict(group, exhaustive, cache_dir)

@@ -16,7 +16,7 @@ from pathlib import Path
 
 from . import __version__
 from .braces import BraceRelationError, BraceValidationError, SkewBrace, almost_trivial, gamma, trivial
-from .cache import cached_enumeration, resolve_cache_dir
+from .cache import resolve_cache_dir
 from .census import CENSUS_MAX_ORDER, CensusCapError, census, census_lookup, label_or_unknown
 from .classify import Verdict, _first_failure, is_good, verify_theorem
 from .constructions import (brace_order4_nontrivial, example_c2cubed, example_cn_even,
@@ -40,7 +40,7 @@ def _load_json_file(path: str):
         raise UsageError(f"cannot read {path}: {exc}") from exc
     try:
         return json.loads(raw)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise UsageError(f"{path} is not valid JSON: {exc}") from exc
 
 
@@ -78,11 +78,11 @@ def _cache_dir(args) -> Path | None:
     return resolve_cache_dir(args.cache_dir)
 
 
-def _add_cache_flags(p: argparse.ArgumentParser) -> None:
+def _add_cache_flags(p: argparse.ArgumentParser, note: str = "") -> None:
     p.add_argument("--cache-dir", metavar="PATH", default=None,
                    help="cache directory (default ./.braceforge-cache, "
-                        "or $BRACEFORGE_CACHE_DIR)")
-    p.add_argument("--no-cache", action="store_true", help="recompute everything")
+                        "or $BRACEFORGE_CACHE_DIR)" + note)
+    p.add_argument("--no-cache", action="store_true", help="recompute everything" + note)
 
 
 def _members_str(members) -> str:
@@ -122,9 +122,8 @@ def _cmd_group_show(args) -> int:
 
 def _cmd_brace_enumerate(args) -> int:
     g = _resolve_group(args.additive)
-    cache = _cache_dir(args)
     try:
-        enum = enumerate_circ(g) if cache is None else cached_enumeration(g, cache)
+        enum = enumerate_circ(g)
     except CensusCapError as exc:
         raise UsageError(str(exc)) from exc
     enum = with_mult_types(enum)
@@ -146,16 +145,11 @@ def _cmd_brace_check(args) -> int:
     obj = _load_json_file(args.file)
     try:
         b = brace_from_obj(obj)
-    except BraceRelationError as exc:
-        if args.json:
-            print(canonical_dumps({"valid": False, "triple": list(exc.triple),
-                                   "reason": str(exc)}), end="")
-        else:
-            print(f"invalid: {exc}", file=sys.stderr)
-        return 2
     except (SchemaError, CayleyTableError, BraceValidationError) as exc:
         if args.json:
-            print(canonical_dumps({"valid": False, "triple": None, "reason": str(exc)}), end="")
+            triple = list(exc.triple) if isinstance(exc, BraceRelationError) else None
+            print(canonical_dumps({"valid": False, "triple": triple,
+                                   "reason": str(exc)}), end="")
         else:
             print(f"invalid: {exc}", file=sys.stderr)
         return 2
@@ -319,7 +313,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--up-to-iso", action="store_true",
                    help="also reduce to brace isomorphism classes")
     p.add_argument("--json", action="store_true")
-    _add_cache_flags(p)
+    _add_cache_flags(p, "; accepted but ignored, enumerations are not cached")
     p.set_defaults(func=_cmd_brace_enumerate)
     p = brace_sub.add_parser("check", help="validate a brace JSON file")
     p.add_argument("file")

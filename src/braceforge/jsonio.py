@@ -3,8 +3,10 @@
 Serialization is deterministic (sorted keys, fixed indentation) so equal
 objects always produce identical bytes.  Parsing validates shape with
 JSON-path context in every error, then runs the full mathematical validation
-(FiniteGroup.from_table and braces.validate) on every table.  There is one
-decode path: user files and cache entries are parsed alike.
+(FiniteGroup.from_table and braces.validate) on every table.  Groups, braces,
+verdicts and report bundles are parsed; an enumeration is only written, as
+the output of `brace enumerate`.  There is one decode path: user files and
+cache entries are parsed alike.
 """
 
 from __future__ import annotations
@@ -87,20 +89,16 @@ def brace_to_obj(b: SkewBrace) -> dict:
             "circ": [list(r) for r in b.circ.table]}
 
 
-def _brace_fields(obj: Any, path: str) -> tuple[str, list[list[int]], list[list[int]]]:
+def brace_from_obj(obj: Any, path: str = "$") -> SkewBrace:
     d = _expect_dict(obj, path, {"order", "label", "dot", "circ"})
     if not _is_int(d["order"]) or d["order"] < 1:
         raise SchemaError(f"{path}.order", "expected a positive int")
     if not isinstance(d["label"], str):
         raise SchemaError(f"{path}.label", "expected a string")
-    return (d["label"], _expect_table(d["dot"], d["order"], f"{path}.dot"),
-            _expect_table(d["circ"], d["order"], f"{path}.circ"))
-
-
-def brace_from_obj(obj: Any, path: str = "$") -> SkewBrace:
-    label, dot_rows, circ_rows = _brace_fields(obj, path)
+    dot_rows = _expect_table(d["dot"], d["order"], f"{path}.dot")
+    circ_rows = _expect_table(d["circ"], d["order"], f"{path}.circ")
     return validate(FiniteGroup.from_table(dot_rows),
-                    FiniteGroup.from_table(circ_rows), label=label)
+                    FiniteGroup.from_table(circ_rows), label=d["label"])
 
 
 # ---------------------------------------------------------------------------
@@ -115,36 +113,6 @@ def enumeration_to_obj(e: BraceEnumeration) -> dict:
         "by_mult_type": None if e.by_mult_type is None else
             {label: list(idx) for label, idx in e.by_mult_type},
     }
-
-
-def enumeration_from_obj(obj: Any, path: str = "$") -> BraceEnumeration:
-    d = _expect_dict(obj, path, {"additive", "operations", "iso_classes", "by_mult_type"})
-    additive = group_from_obj(d["additive"], f"{path}.additive")
-    if not isinstance(d["operations"], list):
-        raise SchemaError(f"{path}.operations", "expected a list")
-    ops = []
-    for i, ob in enumerate(d["operations"]):
-        op_path = f"{path}.operations[{i}]"
-        label, dot_rows, circ_rows = _brace_fields(ob, op_path)
-        if tuple(map(tuple, dot_rows)) != additive.table:
-            raise SchemaError(f"{op_path}.dot", "dot table differs from additive")
-        # the additive table is already validated; each circ table is checked here
-        ops.append(validate(additive, FiniteGroup.from_table(circ_rows), label=label))
-    iso = d["iso_classes"]
-    if iso is not None:
-        if not isinstance(iso, list) or not all(
-                isinstance(c, list) and all(map(_is_int, c)) for c in iso):
-            raise SchemaError(f"{path}.iso_classes", "expected null or a list of int lists")
-        iso = tuple(tuple(c) for c in iso)
-    bmt = d["by_mult_type"]
-    if bmt is not None:
-        if not isinstance(bmt, dict) or not all(
-                isinstance(k, str) and isinstance(v, list) and all(map(_is_int, v))
-                for k, v in bmt.items()):
-            raise SchemaError(f"{path}.by_mult_type", "expected null or a map label -> int list")
-        bmt = tuple(sorted((k, tuple(v)) for k, v in bmt.items()))
-    return BraceEnumeration(additive=additive, operations=tuple(ops),
-                            iso_classes=iso, by_mult_type=bmt)
 
 
 # ---------------------------------------------------------------------------
@@ -274,7 +242,7 @@ def serialize(bundle: ReportBundle) -> bytes:
 def parse(data: bytes) -> ReportBundle:
     try:
         obj = json.loads(data.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
         raise SchemaError("$", f"not valid JSON: {exc}") from exc
     d = _expect_dict(obj, "$", {"schema", "tool_version", "input_sha256",
                                 "timing_ms", "descriptor"})

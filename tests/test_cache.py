@@ -11,12 +11,11 @@ from pathlib import Path
 
 import pytest
 
-from braceforge.cache import (CACHE_DIR_ENV, DEFAULT_CACHE_DIR, cached_enumeration,
-                              cached_verdict, resolve_cache_dir, store_verdict,
-                              table_digest)
+from braceforge.cache import (CACHE_DIR_ENV, DEFAULT_CACHE_DIR, cached_verdict,
+                              resolve_cache_dir, store_verdict, table_digest)
 from braceforge.census import census_lookup
 from braceforge.classify import is_good
-from braceforge.enumeration import enumerate_circ
+from braceforge.cli import main
 from braceforge.groups import transport
 
 
@@ -34,77 +33,6 @@ def test_table_digest_depends_only_on_table():
     assert table_digest(g) != table_digest(census_lookup("Q8"))
 
 
-def test_cached_enumeration_round_trip(tmp_path):
-    g = census_lookup("S3")
-    cold = cached_enumeration(g, tmp_path)
-    assert cold == enumerate_circ(g)
-    files = list(tmp_path.glob("*.json"))
-    assert len(files) == 1
-    before = files[0].read_bytes()
-    warm = cached_enumeration(g, tmp_path)
-    assert warm == cold
-    assert warm.additive is g  # operations are rebound to the caller's group
-    assert files[0].read_bytes() == before
-
-
-def test_cached_enumeration_misses_across_tables(tmp_path):
-    g = census_lookup("C2xC2")
-    cached_enumeration(g, tmp_path)
-    moved = transport(g, (0, 2, 3, 1))
-    cached_enumeration(moved, tmp_path)
-    assert len(list(tmp_path.glob("*.json"))) == 2
-
-
-def test_cached_enumeration_recovers_from_corruption(tmp_path):
-    g = census_lookup("C6")
-    cached_enumeration(g, tmp_path)
-    entry = next(tmp_path.glob("*.json"))
-
-    entry.write_bytes(b"not json at all")
-    with pytest.warns(UserWarning, match="corrupt cache entry"):
-        recovered = cached_enumeration(g, tmp_path)
-    assert recovered == enumerate_circ(g)
-    assert json.loads(entry.read_bytes())["payload"]["additive"]["label"] == "C6"
-
-    # valid JSON under the wrong key is also corruption
-    obj = json.loads(entry.read_bytes())
-    obj["key"] = "something else"
-    entry.write_text(json.dumps(obj))
-    with pytest.warns(UserWarning, match="corrupt cache entry"):
-        assert cached_enumeration(g, tmp_path) == recovered
-    assert json.loads(entry.read_bytes())["key"] != "something else"
-
-
-def test_cached_enumeration_recovers_from_undecodable_table(tmp_path):
-    g = census_lookup("C4")
-    cached_enumeration(g, tmp_path)
-    entry = next(tmp_path.glob("*.json"))
-    obj = json.loads(entry.read_bytes())
-    obj["payload"]["operations"][1]["circ"][0] = [1, 1, 2, 3]  # row without the identity
-    entry.write_text(json.dumps(obj))
-    with pytest.warns(UserWarning, match="corrupt cache entry"):
-        assert cached_enumeration(g, tmp_path) == enumerate_circ(g)
-    assert json.loads(entry.read_bytes())["payload"]["operations"][1]["circ"][0] != [1, 1, 2, 3]
-
-
-def test_cached_enumeration_keeps_only_what_replays(tmp_path):
-    g = census_lookup("C4")
-    fresh = enumerate_circ(g)
-    cached_enumeration(g, tmp_path)
-    entry = next(tmp_path.glob("*.json"))
-    obj = json.loads(entry.read_bytes())
-    obj["payload"]["operations"][0]["label"] = "forged"  # labels are re-derived
-    obj["payload"]["iso_classes"] = [[0, 1]]  # and classes are never read back
-    entry.write_text(json.dumps(obj))
-    warm = cached_enumeration(g, tmp_path)
-    assert [b.label for b in warm.operations] == [b.label for b in fresh.operations]
-    assert warm.iso_classes is None
-    obj["payload"]["operations"].reverse()  # valid tables out of canonical order
-    entry.write_text(json.dumps(obj))
-    with pytest.warns(UserWarning, match="not the canonical enumeration"):
-        assert cached_enumeration(g, tmp_path).operations == fresh.operations
-
-
 def test_verdict_cache_round_trip(tmp_path):
     g = census_lookup("Q8")
     assert cached_verdict(g, False, tmp_path) is None
@@ -113,6 +41,50 @@ def test_verdict_cache_round_trip(tmp_path):
     assert cached_verdict(g, False, tmp_path) == v
     # exhaustive flag is part of the key
     assert cached_verdict(g, True, tmp_path) is None
+
+
+def test_cached_verdict_misses_across_tables(tmp_path):
+    g = census_lookup("Q8")
+    store_verdict(g, False, is_good(g), tmp_path)
+    moved = transport(g, (0, 2, 1, 3, 4, 5, 6, 7), label="Q8")
+    assert moved.label == g.label and moved.table != g.table
+    assert cached_verdict(moved, False, tmp_path) is None
+    store_verdict(moved, False, is_good(moved), tmp_path)
+    assert len(list(tmp_path.glob("*.json"))) == 2
+
+
+def test_cached_verdict_recovers_from_corruption(tmp_path):
+    g = census_lookup("Q8")
+    expected = is_good(g, cache_dir=tmp_path)
+    entry = next(tmp_path.glob("*.json"))
+    stored = entry.read_bytes()
+
+    entry.write_bytes(b"not json at all")
+    with pytest.warns(UserWarning, match="corrupt cache entry"):
+        assert is_good(g, cache_dir=tmp_path) == expected
+    assert entry.read_bytes() == stored
+
+    # valid JSON under the wrong key is also corruption
+    obj = json.loads(stored)
+    obj["key"] = "something else"
+    entry.write_text(json.dumps(obj))
+    with pytest.warns(UserWarning, match="corrupt cache entry"):
+        assert is_good(g, cache_dir=tmp_path) == expected
+    assert entry.read_bytes() == stored
+
+
+def test_deeply_nested_entry_is_recomputed(capsys, tmp_path):
+    assert main(["classify", "Q8", "--no-cache"]) == 0
+    expected = capsys.readouterr().out
+    assert main(["classify", "Q8", "--cache-dir", str(tmp_path)]) == 0
+    capsys.readouterr()
+    entry = next(tmp_path.glob("*.json"))
+    key = json.loads(entry.read_bytes())["key"]
+    entry.write_bytes(b'{"key": %s, "payload": %s%s}'
+                      % (json.dumps(key).encode(), b"[" * 200_000, b"]" * 200_000))
+    with pytest.warns(UserWarning, match="corrupt cache entry"):
+        assert main(["classify", "Q8", "--cache-dir", str(tmp_path)]) == 0
+    assert capsys.readouterr().out == expected
 
 
 def test_cached_verdict_recovers_from_undecodable_table(tmp_path):

@@ -112,12 +112,14 @@ def test_brace_enumerate_human(capsys):
 
 
 def test_brace_enumerate_json_deterministic_and_cached(capsys, tmp_path):
+    # enumerations are not cached: the flags parse, and nothing is written
     args = ("brace", "enumerate", "S3", "--json", "--cache-dir", str(tmp_path))
     code1, out1, _ = run(capsys, *args)
     assert code1 == 0
-    assert list(tmp_path.glob("*.json"))
+    assert not list(tmp_path.iterdir())
     code2, out2, _ = run(capsys, *args)
     assert (code2, out2) == (0, out1)
+    assert run(capsys, "brace", "enumerate", "S3", "--json", "--no-cache") == (0, out1, "")
     assert json.loads(out1)["additive"]["label"] == "S3"
 
 
@@ -372,7 +374,15 @@ def test_unwritable_dot_path_exits_2_without_traceback(tmp_path):
 def test_cache_dir_that_is_a_file_exits_2_without_traceback(tmp_path):
     path = tmp_path / "a-file"
     path.write_text("")
-    _assert_one_line_error(["brace", "enumerate", "C2", "--cache-dir", str(path)])
+    _assert_one_line_error(["classify", "C2", "--cache-dir", str(path)])
+
+
+def test_deeply_nested_json_exits_2_without_traceback(tmp_path):
+    path = tmp_path / "nested.json"
+    path.write_text("[" * 200_000 + "]" * 200_000)
+    for argv in (["group", "show", str(path)], ["brace", "check", str(path)],
+                 ["hg", "report", str(path)]):
+        _assert_one_line_error(argv)
 
 
 def test_cli_subprocess_deterministic_across_worker_counts(tmp_path):

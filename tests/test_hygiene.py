@@ -1,18 +1,23 @@
-"""Every name an import binds, in the package and in the tests, is used or exported.
+"""Every name an import binds, in the package and in the tests, is used or exported,
+and every private module-level name of the package is used somewhere in it.
 
-The scan is syntactic (ast): a name counts as used when it appears as a
-bare name anywhere in the module, in a quoted annotation, or in `__all__`.
+The scans are syntactic (ast): an imported name counts as used when it
+appears as a bare name anywhere in the module, in a quoted annotation, or in
+`__all__`; a private name counts as used when it is read, as a bare name or
+an attribute, or imported anywhere in the package outside its own definition.
 """
 
 from __future__ import annotations
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
-FILES = sorted([*(ROOT / "src" / "braceforge").glob("*.py"), *(ROOT / "tests").glob("*.py")])
+PACKAGE = sorted((ROOT / "src" / "braceforge").glob("*.py"))
+FILES = sorted([*PACKAGE, *(ROOT / "tests").glob("*.py")])
 
 
 def _imported(tree: ast.Module):
@@ -62,3 +67,53 @@ def test_scan_sees_an_unused_import():
     tree = ast.parse("import os\nfrom json import dumps, loads\n"
                      "def f(x: 'Path') -> None:\n    return loads(x)\n")
     assert [name for name, _ in _imported(tree) if name not in _used(tree)] == ["os", "dumps"]
+
+
+def _private_definitions(tree: ast.Module):
+    """(name, node) for every `_`-prefixed function, class or constant defined
+    at module level; dunders aside."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, ast.Assign):
+            names = [t.id for t in node.targets if isinstance(t, ast.Name)]
+        elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+            names = [node.target.id]
+        else:
+            continue
+        for name in names:
+            if name.startswith("_") and not name.endswith("__"):
+                yield name, node
+
+
+def _references(node: ast.AST) -> Counter:
+    """How often each name is read or imported under `node`."""
+    refs = Counter()
+    for n in ast.walk(node):
+        if isinstance(n, ast.Name) and not isinstance(n.ctx, ast.Store):
+            refs[n.id] += 1
+        elif isinstance(n, ast.Attribute):
+            refs[n.attr] += 1
+        elif isinstance(n, ast.ImportFrom):
+            refs.update(alias.name for alias in n.names)
+    return refs
+
+
+def _orphans(trees: dict[str, ast.Module]) -> list[str]:
+    refs = sum((_references(t) for t in trees.values()), Counter())
+    return [f"{module}: {name}" for module, tree in trees.items()
+            for name, node in _private_definitions(tree)
+            if refs[name] - _references(node)[name] == 0]
+
+
+def test_every_private_helper_is_used():
+    trees = {p.name: ast.parse(p.read_text(encoding="utf-8")) for p in PACKAGE}
+    orphans = _orphans(trees)
+    assert not orphans, f"private names nothing in the package uses: {orphans}"
+
+
+def test_scan_sees_an_orphaned_helper():
+    trees = {"a.py": ast.parse("_LIMIT = 3\ndef _f(n):\n    return _f(n - 1)\n"
+                               "def _g():\n    return _LIMIT\nclass _Old:\n    pass\n"),
+             "b.py": ast.parse("from a import _g\n")}
+    assert _orphans(trees) == ["a.py: _f", "a.py: _Old"]

@@ -10,11 +10,9 @@ from braceforge.braces import BraceRelationError, trivial
 from braceforge.census import census_lookup
 from braceforge.classify import is_good, verify_theorem
 from braceforge.constructions import example_q8
-from braceforge.enumeration import enumerate_circ, reduce_up_to_iso, with_mult_types
 from braceforge.jsonio import (BUNDLE_SCHEMA, SchemaError, brace_from_obj,
                                brace_to_obj, canonical_bytes, canonical_dumps,
                                descriptor_from_obj, descriptor_to_obj,
-                               enumeration_from_obj, enumeration_to_obj,
                                group_from_obj, group_to_obj, parse, serialize,
                                theorem_report_to_obj, verdict_from_obj,
                                verdict_to_obj, witness_from_obj, witness_to_obj)
@@ -83,23 +81,6 @@ def test_brace_from_obj_rejects_corrupt_circ():
         brace_from_obj(obj)
 
 
-def test_enumeration_round_trip_with_classes_and_types():
-    enum = with_mult_types(reduce_up_to_iso(enumerate_circ(census_lookup("C2xC2"))))
-    data = canonical_bytes(enumeration_to_obj(enum))
-    back = enumeration_from_obj(json.loads(data))
-    assert back == enum
-    assert canonical_bytes(enumeration_to_obj(back)) == data
-
-
-def test_enumeration_from_obj_rejects_foreign_dot_table():
-    enum = enumerate_circ(census_lookup("C4"))
-    obj = enumeration_to_obj(enum)
-    obj["operations"][1]["dot"] = [list(r) for r in census_lookup("C2xC2").table]
-    with pytest.raises(SchemaError) as exc:
-        enumeration_from_obj(obj)
-    assert exc.value.path == "$.operations[1].dot"
-
-
 def test_witness_and_verdict_round_trip():
     v = is_good(census_lookup("Q8"), exhaustive=True)
     obj = json.loads(canonical_dumps(verdict_to_obj(v)))
@@ -129,11 +110,6 @@ def _q8_verdict():
     return verdict_to_obj(is_good(census_lookup("Q8")))
 
 
-def _c4_enumeration():
-    return enumeration_to_obj(
-        with_mult_types(reduce_up_to_iso(enumerate_circ(census_lookup("C4")))))
-
-
 def _q8_descriptor():
     return descriptor_to_obj(hg_descriptor(example_q8()))
 
@@ -144,8 +120,6 @@ _BOOL_CASES = {
     "failing": (_q8_verdict, verdict_from_obj, ("witness", "failing", -1)),
     "braces_examined": (_q8_verdict, verdict_from_obj, ("braces_examined",)),
     "order": (lambda: group_to_obj(census_lookup("C1")), group_from_obj, ("order",)),
-    "iso_classes": (_c4_enumeration, enumeration_from_obj, ("iso_classes", -1, -1)),
-    "by_mult_type": (_c4_enumeration, enumeration_from_obj, ("by_mult_type", "C4", -1)),
     "gamma_orbits": (_q8_descriptor, descriptor_from_obj, ("gamma_orbits", 1, -1)),
     "members": (_q8_descriptor, descriptor_from_obj, ("lattice", 1, "members", -1)),
     "failing_pair": (_q8_descriptor, descriptor_from_obj, ("lattice", 2, "failing_pair", -1)),
@@ -156,8 +130,6 @@ _BOOL_CASES = {
                                          ("failing", "$.witness.failing"),
                                          ("braces_examined", "$.braces_examined"),
                                          ("order", "$.order"),
-                                         ("iso_classes", "$.iso_classes"),
-                                         ("by_mult_type", "$.by_mult_type"),
                                          ("gamma_orbits", "$.gamma_orbits"),
                                          ("members", "$.lattice[1].members"),
                                          ("failing_pair", "$.lattice[2].failing_pair")])
