@@ -12,7 +12,7 @@ from functools import lru_cache
 from typing import Iterable
 
 from .groups import FiniteGroup, Subgroup, subgroups
-from .morphisms import minimal_generating_indices, _search_homs
+from .morphisms import _search_homs
 from .perms import Perm
 
 
@@ -171,7 +171,7 @@ def brace_isomorphic(x: SkewBrace, y: SkewBrace) -> tuple[int, ...] | None:
     prof_y = [(y.dot.element_orders[a], y.circ.element_orders[a]) for a in range(n)]
     if sorted(prof_x) != sorted(prof_y):
         return None
-    gens = minimal_generating_indices(x.dot)
+    gens = x.dot.generating_indices
     candidates = [[b for b in range(n) if prof_y[b] == prof_x[g]] for g in gens]
     xc = x.circ.table
     yc = y.circ.table

@@ -43,7 +43,14 @@ class Verdict:
 
 def verify_witness(w: Witness) -> None:
     """Re-derive everything the witness claims; raises ValueError when it lies."""
-    b = validate(w.brace.dot, w.brace.circ, label=w.brace.label)
+    validate(w.brace.dot, w.brace.circ)
+    _replay_witness(w)
+
+
+def _replay_witness(w: Witness) -> None:
+    """verify_witness without re-validating the brace, for a witness whose
+    brace has just been decoded through the validating parser."""
+    b = w.brace
     ms = set(w.subgroup)
     if list(w.subgroup) != sorted(ms) or not all(0 <= v < b.order for v in (*ms, *w.failing)):
         raise ValueError("witness indices must be distinct, sorted and in range")

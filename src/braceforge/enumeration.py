@@ -14,7 +14,7 @@ from dataclasses import dataclass, replace
 from .braces import BraceValidationError, SkewBrace, validate
 from .census import CENSUS_MAX_ORDER, CensusCapError, census, label_or_unknown
 from .groups import FiniteGroup
-from .morphisms import automorphism_group, minimal_generating_indices
+from .morphisms import automorphism_group
 from .perms import Perm, compose, identity_perm, perm_order
 
 Table = tuple[tuple[int, ...], ...]
@@ -34,7 +34,7 @@ class BraceEnumeration:
 
 def _regular_subgroup_tables(g: FiniteGroup) -> list[Table]:
     n = g.order
-    gens = minimal_generating_indices(g)
+    gens = g.generating_indices
     ident = identity_perm(n)
     auts = automorphism_group(g)
     buckets: list[list[Perm]] = [[] for _ in range(n)]
@@ -69,6 +69,8 @@ def _regular_subgroup_tables(g: FiniteGroup) -> list[Table]:
             return None
         return cov
 
+    # Two tables first differ at a chosen slot, which is the least empty one,
+    # and each bucket is sorted, so the tables come out sorted and distinct.
     def search(cov: list[Perm | None], chosen: tuple[Perm, ...]) -> None:
         if None not in cov:
             results.append(tuple(cov))
@@ -81,7 +83,6 @@ def _regular_subgroup_tables(g: FiniteGroup) -> list[Table]:
                 search(ext, grown)
 
     search([ident] + [None] * (n - 1), ())
-    results.sort()
     return results
 
 
@@ -91,10 +92,9 @@ _ENUM_MEMO: dict[tuple[str, Table], BraceEnumeration] = {}
 def enumerate_circ(additive: FiniteGroup) -> BraceEnumeration:
     """All circ tables forming a skew brace with the given additive group.
 
-    Operations come back sorted by circ table, so the order is canonical and
-    independent of how the search tree was walked.  Every table the search
-    gives is validated; a failure there is an internal fault, not an input
-    error.
+    Operations come back sorted by circ table, the order in which the search
+    finds them, so the order is canonical.  Every table the search gives is
+    validated; a failure there is an internal fault, not an input error.
     """
     if additive.order > CENSUS_MAX_ORDER:
         raise CensusCapError(f"enumeration is capped at order {CENSUS_MAX_ORDER}")

@@ -88,6 +88,20 @@ class FiniteGroup:
         return tuple(self.element_order(a) for a in self.elements())
 
     @cached_property
+    def generating_indices(self) -> tuple[int, ...]:
+        """Greedy generating set: adjoin the least element outside the running
+        closure.  Computed once per group."""
+        gens: list[int] = []
+        closed = {0}
+        for a in self.elements():
+            if a not in closed:
+                gens.append(a)
+                closed = set(closure_of(self, gens))
+                if len(closed) == self.order:
+                    break
+        return tuple(gens)
+
+    @cached_property
     def is_abelian(self) -> bool:
         t = self.table
         n = self.order
@@ -262,21 +276,31 @@ def make_alternating4() -> FiniteGroup:
 # Subgroups
 # ---------------------------------------------------------------------------
 
-def closure_of(g: FiniteGroup, seed: Iterable[int]) -> tuple[int, ...]:
-    """Subgroup generated by the seed elements, as a sorted index tuple."""
-    members = {0}
-    members.update(seed)
-    frontier = list(members)
-    t = g.table
+def _close(t: tuple[tuple[int, ...], ...], members: set[int], frontier: list[int],
+           gens: Sequence[int]) -> None:
+    """Grow members until it is closed under right multiplication by gens.
+
+    Only the frontier elements still need multiplying; members is updated in
+    place.
+    """
     while frontier:
-        nxt = []
-        for x in frontier:
-            for y in list(members):
-                for p in (t[x][y], t[y][x]):
-                    if p not in members:
-                        members.add(p)
-                        nxt.append(p)
-        frontier = nxt
+        row = t[frontier.pop()]
+        for s in gens:
+            p = row[s]
+            if p not in members:
+                members.add(p)
+                frontier.append(p)
+
+
+def closure_of(g: FiniteGroup, seed: Iterable[int]) -> tuple[int, ...]:
+    """Subgroup generated by the seed elements, as a sorted index tuple.
+
+    {0} is closed under right multiplication by the seed, which gives every
+    word in the seed elements.  In a finite group that is the whole subgroup
+    they generate: each inverse is a positive power.
+    """
+    members = {0}
+    _close(g.table, members, [0], tuple(dict.fromkeys(seed)))
     return tuple(sorted(members))
 
 
@@ -303,27 +327,50 @@ class Subgroup:
 
 
 def subgroups(g: FiniteGroup) -> list[Subgroup]:
-    """All subgroups, found by closure layering: extend each known subgroup by one element.
+    """All subgroups in (size, members) order, built as joins of cyclic subgroups.
 
-    Complete because any subgroup is reached from the trivial one by repeatedly
-    adjoining a missing element and closing.
+    The distinct cyclic subgroups are found once, as the powers of each
+    element, keeping the least generator of each.  The lattice then grows
+    from the trivial subgroup: each subgroup S found is joined with every
+    cyclic subgroup <c> it does not contain, closing S under right
+    multiplication by S's generators and c, and the joins are deduplicated by
+    member set.
+
+    Complete because every subgroup H is the join of its cyclic subgroups:
+    from any S < H found so far, adjoining <a> for some a in H outside S gives
+    a larger subgroup of H, so H is reached from 1.  Each join at least
+    doubles the order, so a subgroup carries at most log2 |H| generators.
     """
-    trivial = (0,)
+    t = g.table
+    cyclic: list[int] = []
+    seen: set[frozenset[int]] = set()
+    for a in range(1, g.order):
+        powers = {a}
+        x = t[a][a]
+        while x != a:
+            powers.add(x)
+            x = t[x][a]
+        key = frozenset(powers)
+        if key not in seen:
+            seen.add(key)
+            cyclic.append(a)
+    trivial = frozenset((0,))
     found = {trivial}
-    frontier = [trivial]
+    frontier: list[tuple[frozenset[int], tuple[int, ...]]] = [(trivial, ())]
     while frontier:
-        nxt = []
-        for base in frontier:
-            bset = set(base)
-            for a in g.elements():
-                if a in bset:
-                    continue
-                closed = closure_of(g, base + (a,))
-                if closed not in found:
-                    found.add(closed)
-                    nxt.append(closed)
-        frontier = nxt
-    ordered = sorted(found, key=lambda m: (len(m), m))
+        base, gens = frontier.pop()
+        for c in cyclic:
+            if c in base:
+                continue
+            grown = gens + (c,)
+            new = list({t[x][c] for x in base} - base)
+            members = set(base).union(new)
+            _close(t, members, new, grown)
+            key = frozenset(members)
+            if key not in found:
+                found.add(key)
+                frontier.append((key, grown))
+    ordered = sorted((tuple(sorted(m)) for m in found), key=lambda m: (len(m), m))
     return [Subgroup(parent=g, members=m) for m in ordered]
 
 

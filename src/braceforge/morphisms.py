@@ -6,23 +6,15 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Sequence
 
-from .groups import FiniteGroup, Subgroup, closure_of, subgroups
+from .groups import FiniteGroup, Subgroup, subgroups
 from .perms import Perm
 
 Table = tuple[tuple[int, ...], ...]
 
 
 def minimal_generating_indices(g: FiniteGroup) -> list[int]:
-    """Greedy generating set: adjoin the least element outside the running closure."""
-    gens: list[int] = []
-    closed: set[int] = {0}
-    for a in g.elements():
-        if a not in closed:
-            gens.append(a)
-            closed = set(closure_of(g, gens))
-            if len(closed) == g.order:
-                break
-    return gens
+    """The group's cached greedy generating set (FiniteGroup.generating_indices)."""
+    return list(g.generating_indices)
 
 
 def propagate_partial_map(src: Table, dst: Table, part: list[int]) -> list[int] | None:
@@ -111,7 +103,7 @@ def automorphism_group(g: FiniteGroup) -> tuple[Perm, ...]:
     products after each assignment, so contradictions are caught early.  The
     search yields every automorphism, so no closure step follows.
     """
-    gens = minimal_generating_indices(g)
+    gens = g.generating_indices
     orders = g.element_orders
     candidates = [[b for b in g.elements() if orders[b] == orders[gen]] for gen in gens]
     maps = _search_homs(g.table, g.table, gens, candidates, None, first_only=False)
@@ -142,7 +134,7 @@ def are_isomorphic(a: FiniteGroup, b: FiniteGroup) -> Isomorphism | None:
         return None
     if len(a.center) != len(b.center):
         return None
-    gens = minimal_generating_indices(a)
+    gens = a.generating_indices
     orders_b = b.element_orders
     candidates = [[y for y in b.elements() if orders_b[y] == a.element_orders[gen]] for gen in gens]
     maps = _search_homs(a.table, b.table, gens, candidates, None, first_only=True)

@@ -1,13 +1,14 @@
 """Brute-force reference implementations used to cross-check the fast paths.
 
 Everything here trades speed for obviousness: subsets are tested directly,
-bijections are tried exhaustively or searched pair by pair.  Keep the inputs
-small.
+subgroups are grown one element at a time, bijections are tried exhaustively
+or searched pair by pair.  Keep the inputs small.
 """
 
 from __future__ import annotations
 
 from itertools import combinations, permutations
+from typing import Iterable
 
 from braceforge.braces import (BraceValidationError, SkewBrace, brace_isomorphic,
                                validate)
@@ -32,6 +33,44 @@ def oracle_subgroups(g: FiniteGroup) -> list[tuple[int, ...]]:
             if all(g.table[a][b] in mset for a in ms for b in ms):
                 out.append(ms)
     return sorted(out, key=lambda m: (len(m), m))
+
+
+def oracle_closure_of(g: FiniteGroup, seed: Iterable[int]) -> tuple[int, ...]:
+    """Close seed and 0 under products in both orders until nothing new appears."""
+    members = {0}
+    members.update(seed)
+    frontier = list(members)
+    t = g.table
+    while frontier:
+        nxt = []
+        for x in frontier:
+            for y in list(members):
+                for p in (t[x][y], t[y][x]):
+                    if p not in members:
+                        members.add(p)
+                        nxt.append(p)
+        frontier = nxt
+    return tuple(sorted(members))
+
+
+def oracle_layered_subgroups(g: FiniteGroup) -> list[tuple[int, ...]]:
+    """Closure layering: extend each known subgroup by every element outside it."""
+    trivial = (0,)
+    found = {trivial}
+    frontier = [trivial]
+    while frontier:
+        nxt = []
+        for base in frontier:
+            bset = set(base)
+            for a in g.elements():
+                if a in bset:
+                    continue
+                closed = oracle_closure_of(g, base + (a,))
+                if closed not in found:
+                    found.add(closed)
+                    nxt.append(closed)
+        frontier = nxt
+    return sorted(found, key=lambda m: (len(m), m))
 
 
 def oracle_automorphisms(g: FiniteGroup) -> list[tuple[int, ...]]:

@@ -11,6 +11,8 @@ from pathlib import Path
 
 import pytest
 
+from braceforge import classify, jsonio
+from braceforge.braces import validate
 from braceforge.cache import (CACHE_DIR_ENV, DEFAULT_CACHE_DIR, cached_verdict,
                               resolve_cache_dir, store_verdict, table_digest)
 from braceforge.census import census_lookup
@@ -51,6 +53,37 @@ def test_cached_verdict_misses_across_tables(tmp_path):
     assert cached_verdict(moved, False, tmp_path) is None
     store_verdict(moved, False, is_good(moved), tmp_path)
     assert len(list(tmp_path.glob("*.json"))) == 2
+
+
+def test_cached_witness_is_validated_once(monkeypatch, tmp_path):
+    # the parser validates the decoded brace; the replay does not repeat it
+    g = census_lookup("Q8")
+    expected = is_good(g, cache_dir=tmp_path)
+    calls = 0
+
+    def counting_validate(*args, **kwargs):
+        nonlocal calls
+        calls += 1
+        return validate(*args, **kwargs)
+
+    monkeypatch.setattr(jsonio, "validate", counting_validate)
+    monkeypatch.setattr(classify, "validate", counting_validate)
+    assert cached_verdict(g, False, tmp_path) == expected
+    assert calls == 1
+
+
+def test_cached_witness_whose_pair_does_not_fail_is_refused(tmp_path):
+    g = census_lookup("Q8")
+    expected = is_good(g, cache_dir=tmp_path)
+    entry = next(tmp_path.glob("*.json"))
+    obj = json.loads(entry.read_bytes())
+    obj["payload"]["witness"]["failing"][0] = 0  # the identity moves nothing
+    entry.write_text(json.dumps(obj))
+    with pytest.warns(UserWarning, match="does not fail"):
+        assert cached_verdict(g, False, tmp_path) is None
+    with pytest.warns(UserWarning, match="does not fail"):
+        assert is_good(g, cache_dir=tmp_path) == expected
+    assert cached_verdict(g, False, tmp_path) == expected  # rewritten
 
 
 def test_cached_verdict_recovers_from_corruption(tmp_path):

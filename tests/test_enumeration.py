@@ -88,6 +88,14 @@ def test_operations_sorted_and_distinct(census15):
             assert b.dot is e.group
 
 
+def test_search_yields_tables_in_sorted_order(census15):
+    # the search fills the least empty slot from a sorted bucket, so tables
+    # first differ at a chosen slot and come out sorted with no sort step
+    for e in census15:
+        tables = enumeration._regular_subgroup_tables(e.group)
+        assert tables == sorted(set(tables)), e.label
+
+
 def test_matches_bruteforce_oracle_up_to_order_6():
     for e in census(6):
         got = [b.circ.table for b in enumerate_circ(e.group).operations]

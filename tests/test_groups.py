@@ -1,7 +1,11 @@
 import pytest
 
-from oracles import oracle_element_order, oracle_subgroups
+from oracles import (oracle_closure_of, oracle_element_order, oracle_layered_subgroups,
+                     oracle_subgroups)
 
+from braceforge import groups
+from braceforge.census import census_lookup
+from braceforge.enumeration import enumerate_circ
 from braceforge.groups import (CayleyTableError, FiniteGroup, Subgroup, closure_of,
                                direct_product, is_normal, make_abelian,
                                make_alternating4, make_cyclic, make_dicyclic,
@@ -186,6 +190,58 @@ def test_subgroups_match_oracle(census15):
             continue
         fast = [s.members for s in subgroups(e.group)]
         assert fast == oracle_subgroups(e.group)
+
+
+def test_subgroups_match_closure_layering_on_census_and_circ_groups(census15):
+    circs = [b.circ for e in census15 for b in enumerate_circ(e.group).operations]
+    assert len(circs) == 498
+    for g in [e.group for e in census15] + circs:
+        assert [s.members for s in subgroups(g)] == oracle_layered_subgroups(g), g.label
+
+
+ORDER_16 = {
+    "C4xC4": lambda: make_abelian([4, 4]),
+    "C2^4": lambda: make_abelian([2, 2, 2, 2]),
+    "C4xC2xC2": lambda: make_abelian([4, 2, 2]),
+    "D16": lambda: make_dihedral(16),
+    "Q8xC2": lambda: direct_product(make_quaternion8(), make_cyclic(2)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ORDER_16))
+def test_subgroups_match_oracles_at_order_16(name):
+    g = ORDER_16[name]()
+    fast = [s.members for s in subgroups(g)]
+    assert fast == oracle_layered_subgroups(g)
+    assert fast == oracle_subgroups(g)
+
+
+@pytest.mark.parametrize("label", ["C2xC2xC2", "C12"])
+def test_subgroups_joins_at_most_lattice_times_cyclic(monkeypatch, label):
+    """At most one join per (subgroup, cyclic subgroup) pair.  On C12 one
+    closure per (subgroup, element) pair would be 44 > 6 * 5; on C2xC2xC2 each
+    element generates its own cyclic subgroup, so the two counts coincide."""
+    g = census_lookup(label)
+    cyclic = {closure_of(g, [a]) for a in g.elements()} - {(0,)}
+    close = groups._close
+    joins = 0
+
+    def counting_close(*args):
+        nonlocal joins
+        joins += 1
+        close(*args)
+
+    monkeypatch.setattr(groups, "_close", counting_close)
+    lattice = subgroups(g)
+    assert 0 < joins <= len(lattice) * len(cyclic)
+
+
+def test_closure_of_matches_two_sided_closure(census15):
+    for e in census15:
+        g = e.group
+        for a in g.elements():
+            for b in g.elements():
+                assert closure_of(g, [a, b]) == oracle_closure_of(g, [a, b]), (e.label, a, b)
 
 
 def test_subgroups_sorted_by_size_then_members():
