@@ -5,6 +5,13 @@ the permutation x -> t . alpha(x) of the group's elements, for a translation
 t and an automorphism alpha; it sends 0 to t, its slot.  A compatible circ
 table corresponds exactly to a subgroup holding one permutation in each slot,
 and row t of the table is the permutation in slot t.
+
+The search always fills the least empty slot, trying the candidates of that
+slot's bucket in sorted order: the holomorph elements in the slot that fix no
+point and whose order divides n.  A bucket is built the first time the search
+picks its slot and kept until the search ends.  A slot that products of
+earlier choices always fill is never picked, so its |Aut| candidates are
+never formed.
 """
 
 from __future__ import annotations
@@ -37,14 +44,22 @@ def _regular_subgroup_tables(g: FiniteGroup) -> list[Table]:
     gens = g.generating_indices
     ident = identity_perm(n)
     auts = automorphism_group(g)
-    buckets: list[list[Perm]] = [[] for _ in range(n)]
-    for t in range(1, n):  # a second point-0 element always collides with the identity
-        for alpha in auts:
-            p = compose(g.table[t], alpha)
-            # only the identity of a regular subgroup fixes a point
-            if all(map(int.__ne__, p, ident)) and n % perm_order(p) == 0:
-                buckets[t].append(p)
-        buckets[t].sort()
+    buckets: list[list[Perm] | None] = [None] * n
+
+    def bucket(t: int) -> list[Perm]:
+        # built when the search first picks slot t, then kept; slot 0 is never
+        # picked, since a second point-0 element collides with the identity
+        found = buckets[t]
+        if found is None:
+            found = []
+            for alpha in auts:
+                p = compose(g.table[t], alpha)
+                # only the identity of a regular subgroup fixes a point
+                if all(map(int.__ne__, p, ident)) and n % perm_order(p) == 0:
+                    found.append(p)
+            found.sort()
+            buckets[t] = found
+        return found
 
     results: list[Table] = []
 
@@ -75,8 +90,7 @@ def _regular_subgroup_tables(g: FiniteGroup) -> list[Table]:
         if None not in cov:
             results.append(tuple(cov))
             return
-        slot = cov.index(None)
-        for h in buckets[slot]:
+        for h in bucket(cov.index(None)):
             grown = chosen + (h,)
             ext = try_extend(cov, grown)
             if ext is not None:

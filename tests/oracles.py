@@ -10,10 +10,11 @@ from __future__ import annotations
 from itertools import combinations, permutations
 from typing import Iterable
 
-from braceforge.braces import (BraceValidationError, SkewBrace, brace_isomorphic,
-                               validate)
+from braceforge.braces import (BraceRelationError, BraceValidationError, SkewBrace,
+                               brace_isomorphic, validate)
 from braceforge.census import CensusCapError, census
-from braceforge.groups import FiniteGroup
+from braceforge.groups import CayleyTableError, FiniteGroup, closure_of
+from braceforge.morphisms import automorphism_group
 
 ORACLE_MAX_ORDER = 6
 
@@ -160,3 +161,127 @@ def oracle_element_order(g: FiniteGroup, a: int) -> int:
         x = g.table[x][a]
         k += 1
     return k
+
+
+def oracle_from_table(rows, label: str = "") -> FiniteGroup:
+    """Entry-by-entry table check, ending with associativity over all n^3 triples."""
+    n = len(rows)
+    if n == 0:
+        raise CayleyTableError("empty table")
+    table = tuple(tuple(row) for row in rows)
+    for a, row in enumerate(table):
+        if len(row) != n:
+            raise CayleyTableError(f"row {a} has length {len(row)}, expected {n}")
+        for b, v in enumerate(row):
+            if not isinstance(v, int) or not 0 <= v < n:
+                raise CayleyTableError(f"entry table[{a}][{b}] = {v!r} out of range 0..{n - 1}")
+    for a in range(n):
+        if table[0][a] != a or table[a][0] != a:
+            raise CayleyTableError(f"index 0 is not an identity at element {a}")
+    inv = [-1] * n
+    for a in range(n):
+        for b in range(n):
+            if table[a][b] == 0:
+                inv[a] = b
+                break
+        if inv[a] == -1 or table[inv[a]][a] != 0:
+            raise CayleyTableError(f"element {a} has no two-sided inverse")
+    for a in range(n):
+        ra = table[a]
+        for b in range(n):
+            rab = table[ra[b]]
+            rb = table[b]
+            for c in range(n):
+                if rab[c] != ra[rb[c]]:
+                    raise CayleyTableError(f"not associative at ({a}, {b}, {c})")
+    return FiniteGroup(table=table, inv=tuple(inv), label=label)
+
+
+def oracle_validate(dot: FiniteGroup, circ: FiniteGroup, label: str = "") -> SkewBrace:
+    """The compatibility relation over all n^3 triples; the first failure is reported."""
+    n = dot.order
+    if circ.order != n:
+        raise BraceValidationError(f"order mismatch: dot has {n}, circ has {circ.order}")
+    dt = dot.table
+    ct = circ.table
+    inv = dot.inv
+    for a in range(n):
+        ca = ct[a]
+        ia = inv[a]
+        left = [dt[ca[b]][ia] for b in range(n)]
+        for b in range(n):
+            db = dt[b]
+            lb = dt[left[b]]
+            for c in range(n):
+                if ca[db[c]] != lb[ca[c]]:
+                    raise BraceRelationError(a, b, c)
+    return SkewBrace(dot=dot, circ=circ, label=label or f"({dot.label}, {circ.label})")
+
+
+def oracle_generating_indices(g: FiniteGroup) -> tuple[int, ...]:
+    """The greedy generating set by its first definition: adjoin the least
+    element outside closure_of the set so far."""
+    gens: list[int] = []
+    closed = {0}
+    for a in g.elements():
+        if a not in closed:
+            gens.append(a)
+            closed = set(closure_of(g, gens))
+            if len(closed) == g.order:
+                break
+    return tuple(gens)
+
+
+def oracle_search_slots(g: FiniteGroup) -> set[int]:
+    """The slots the regular-subgroup search picks.
+
+    A search node is a subgroup H of the holomorph with one element per slot
+    (image of 0) it covers.  Unless H covers every slot, the search picks the
+    least slot outside it and, for every holomorph element h there that fixes
+    no point and whose order divides n, goes on to the subgroup generated by H
+    and h if that again has one element per covered slot and an order
+    dividing n.  Subgroups are generated here as plain sets of permutations.
+    """
+    n = g.order
+    ident = tuple(range(n))
+    hol = [tuple(g.table[t][alpha[x]] for x in range(n))
+           for t in range(1, n) for alpha in automorphism_group(g)]
+
+    def order(p):
+        k, q = 1, p
+        while q != ident:
+            q = tuple(p[x] for x in q)
+            k += 1
+        return k
+
+    def generated(gens):
+        members, frontier = {ident}, [ident]
+        while frontier:
+            x = frontier.pop()
+            for s in gens:
+                y = tuple(x[v] for v in s)
+                if y not in members:
+                    if len(members) == n:  # more elements than slots
+                        return None
+                    members.add(y)
+                    frontier.append(y)
+        return members
+
+    picked: set[int] = set()
+
+    def grow(sub):
+        covered = {p[0] for p in sub}
+        if len(covered) == n:
+            return
+        slot = min(set(range(n)) - covered)
+        picked.add(slot)
+        for h in hol:
+            if h[0] != slot or any(h[x] == x for x in range(n)) or n % order(h):
+                continue
+            bigger = generated(list(sub) + [h])
+            if (bigger is not None and len({p[0] for p in bigger}) == len(bigger)
+                    and n % len(bigger) == 0):
+                grow(bigger)
+
+    grow({ident})
+    return picked

@@ -11,7 +11,7 @@ from braceforge.census import census, census_lookup
 from braceforge.groups import is_normal, make_cyclic, subgroups, transport
 from braceforge.perms import identity_perm
 
-from oracles import oracle_brace_isomorphic
+from oracles import oracle_brace_isomorphic, oracle_validate
 
 
 @pytest.mark.parametrize("label", ["C1", "C6", "S3", "Q8", "A4"])
@@ -40,6 +40,19 @@ def test_validate_reports_a_real_violating_triple():
     lhs = ct[a][dt[b][c]]
     rhs = dt[dt[ct[a][b]][inv[a]]][ct[a][c]]
     assert lhs != rhs
+
+
+def test_validate_names_the_first_violating_triple():
+    # the relabelled C5 above: the generator check finds it, the n^3 scan names it
+    dot = make_cyclic(5)
+    circ = transport(dot, (0, 2, 1, 3, 4))
+    with pytest.raises(BraceRelationError) as fast:
+        validate(dot, circ)
+    with pytest.raises(BraceRelationError) as cubic:
+        oracle_validate(dot, circ)
+    assert fast.value.triple == (1, 1, 1)
+    assert str(fast.value) == "compatibility fails at (a, b, c) = (1, 1, 1)"
+    assert (cubic.value.triple, str(cubic.value)) == (fast.value.triple, str(fast.value))
 
 
 def test_trivial_and_almost_trivial_flags():

@@ -5,6 +5,8 @@ structural invariants (canonical order, transport equivariance, partitions).
 
 from __future__ import annotations
 
+from collections import Counter
+
 import pytest
 
 from braceforge import enumeration
@@ -16,7 +18,7 @@ from braceforge.enumeration import (braces_with_mult_group, enumerate_circ,
 from braceforge.groups import CayleyTableError, make_cyclic, relabel, transport
 from braceforge.morphisms import are_isomorphic, automorphism_group
 
-from oracles import oracle_enumerate_circ
+from oracles import oracle_enumerate_circ, oracle_search_slots
 
 # (label, operation count, isomorphism class count); class counts above order
 # 12 omitted because the acceptance gate only needs reductions up to 12
@@ -207,6 +209,28 @@ def test_search_composes_fewer_than_aut_squared_times(monkeypatch):
     monkeypatch.setattr(enumeration, "compose", counting)
     assert len(enumeration._regular_subgroup_tables(g)) == EXPECTED["C2xC2xC2"][0]
     assert calls < len(automorphism_group(g)) ** 2
+
+
+def test_buckets_are_built_only_for_slots_the_search_picks(monkeypatch, census15):
+    # a bucket candidate is a translation after an automorphism, the only
+    # composite whose right factor fixes 0; products of search elements never are
+    real = enumeration.compose
+    built: Counter[int] = Counter()
+
+    def counting(p, q):
+        if q[0] == 0:
+            built[p[0]] += 1
+        return real(p, q)
+    monkeypatch.setattr(enumeration, "compose", counting)
+    skipped = 0
+    for e in census15:
+        built.clear()
+        enumeration._regular_subgroup_tables(e.group)
+        aut = len(automorphism_group(e.group))
+        picked = oracle_search_slots(e.group)
+        assert built == {t: aut for t in picked}, e.label
+        skipped += e.order - 1 - len(picked)
+    assert skipped > 0
 
 
 def test_enumeration_memoized():

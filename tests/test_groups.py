@@ -1,6 +1,7 @@
 import pytest
 
-from oracles import (oracle_closure_of, oracle_element_order, oracle_layered_subgroups,
+from oracles import (oracle_closure_of, oracle_element_order, oracle_from_table,
+                     oracle_generating_indices, oracle_layered_subgroups,
                      oracle_subgroups)
 
 from braceforge import groups
@@ -47,6 +48,32 @@ def test_from_table_rejects_non_associative():
             [4, 3, 1, 2, 0]]
     with pytest.raises(CayleyTableError, match="not associative at"):
         FiniteGroup.from_table(rows)
+
+
+def test_from_table_names_the_first_non_associative_triple():
+    # the quasigroup above: the generator check finds it, the n^3 scan names it
+    rows = [[0, 1, 2, 3, 4],
+            [1, 0, 3, 4, 2],
+            [2, 4, 0, 1, 3],
+            [3, 2, 4, 0, 1],
+            [4, 3, 1, 2, 0]]
+    with pytest.raises(CayleyTableError) as fast:
+        FiniteGroup.from_table(rows)
+    with pytest.raises(CayleyTableError) as cubic:
+        oracle_from_table(rows)
+    assert str(fast.value) == "not associative at (1, 1, 2)"
+    assert str(cubic.value) == str(fast.value)
+
+
+def test_from_table_seeds_the_greedy_generating_set(census15):
+    groups = [e.group for e in census15]
+    circs = [b.circ for g in groups for b in enumerate_circ(g).operations]
+    assert len(groups) == 28 and len(circs) == 498
+    for g in groups + circs:
+        built = FiniteGroup.from_table(g.table)
+        assert "generating_indices" in vars(built)
+        assert built.generating_indices == oracle_generating_indices(g), g.label
+        assert g.generating_indices == built.generating_indices
 
 
 # ---------------------------------------------------------------------------
