@@ -12,7 +12,7 @@ from functools import lru_cache
 from typing import Iterable
 
 from .groups import FiniteGroup, Subgroup, subgroups
-from .morphisms import _search_homs
+from .morphisms import isomorphisms
 from .perms import Perm, compose
 
 
@@ -181,11 +181,12 @@ def left_ideals(b: SkewBrace) -> list[Subgroup]:
 
 
 def brace_isomorphic(x: SkewBrace, y: SkewBrace) -> tuple[int, ...] | None:
-    """A bijection fixing 0 preserving both tables, or None.
+    """The least bijection fixing 0 preserving both tables, or None.
 
-    Backtracks over images of dot-generators; candidates must match on the
-    (dot order, circ order) profile, and the circ table is verified on every
-    completed assignment.
+    Candidate images of the dot-generators must match on the (dot order,
+    circ order) profile.  Of the dot-isomorphisms, in increasing order, the
+    first that also agrees on every circ edge (a, g), for g a
+    circ-generator, preserves circ too (the walk lemma of `morphisms`).
     """
     n = x.order
     if y.order != n:
@@ -198,10 +199,7 @@ def brace_isomorphic(x: SkewBrace, y: SkewBrace) -> tuple[int, ...] | None:
     candidates = [[b for b in range(n) if prof_y[b] == prof_x[g]] for g in gens]
     xc = x.circ.table
     yc = y.circ.table
-
-    def circ_ok(part: list[int]) -> bool:
-        return all(part[xc[a][b]] == yc[part[a]][part[b]]
-                   for a in range(n) for b in range(n))
-
-    maps = _search_homs(x.dot.table, y.dot.table, gens, candidates, circ_ok, first_only=True)
-    return maps[0] if maps else None
+    cgens = x.circ.generating_indices
+    return next((f for f in isomorphisms(x.dot, y.dot, candidates)
+                 if all(f[xc[a][g]] == yc[f[a]][f[g]] for a in range(n) for g in cgens)),
+                None)

@@ -23,7 +23,7 @@ import warnings
 from pathlib import Path
 
 from . import __version__
-from .classify import Verdict, _replay_witness
+from .classify import Verdict, replay_witness
 from .groups import FiniteGroup
 
 DEFAULT_CACHE_DIR = ".braceforge-cache"
@@ -106,7 +106,7 @@ def cached_verdict(group: FiniteGroup, exhaustive: bool,
         if (v.good or v.witness is None or v.group_label != group.label
                 or v.exhaustive != exhaustive or v.witness.brace.dot.table != group.table):
             raise ValueError("not a bad verdict with a witness for this group and mode")
-        _replay_witness(v.witness)  # the parser has already validated the brace
+        replay_witness(v.witness)  # the parser has already validated the brace
     except ValueError as exc:  # SchemaError, CayleyTableError, BraceValidationError, replay
         _corrupt(path, exc)
         return None

@@ -44,10 +44,10 @@ class Verdict:
 def verify_witness(w: Witness) -> None:
     """Re-derive everything the witness claims; raises ValueError when it lies."""
     validate(w.brace.dot, w.brace.circ)
-    _replay_witness(w)
+    replay_witness(w)
 
 
-def _replay_witness(w: Witness) -> None:
+def replay_witness(w: Witness) -> None:
     """verify_witness without re-validating the brace, for a witness whose
     brace has just been decoded through the validating parser."""
     b = w.brace
@@ -73,7 +73,7 @@ def _replay_witness(w: Witness) -> None:
         raise ValueError(f"unknown witness kind {w.kind!r}")
 
 
-def _first_failure(b: SkewBrace) -> Witness | None:
+def first_failure(b: SkewBrace) -> Witness | None:
     for s in subgroups(b.circ):
         flag = left_ideal_status(b, s.members)
         if not flag.is_left_ideal:
@@ -104,7 +104,7 @@ def _scan_enumeration(group: FiniteGroup, enum, exhaustive: bool) -> Verdict:
     examined = 0
     for b in enum.operations:
         examined += 1
-        found = _first_failure(b)
+        found = first_failure(b)
         if witness is None and found is not None:
             witness = found
             if not exhaustive:

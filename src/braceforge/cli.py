@@ -18,7 +18,7 @@ from . import __version__
 from .braces import BraceRelationError, BraceValidationError, SkewBrace, almost_trivial, gamma, trivial
 from .cache import resolve_cache_dir
 from .census import CENSUS_MAX_ORDER, CensusCapError, census, census_lookup, label_or_unknown
-from .classify import Verdict, _first_failure, is_good, verify_theorem
+from .classify import Verdict, first_failure, is_good, verify_theorem
 from .constructions import (brace_order4_nontrivial, example_c2cubed, example_cn_even,
                             example_p_odd, example_pq, example_q8)
 from .enumeration import enumerate_circ, mult_type_census, reduce_up_to_iso, with_mult_types
@@ -247,7 +247,7 @@ def _cmd_example(args) -> int:
     gf = gamma(b)
     for a, mp in enumerate(gf.maps):
         print(f"  gamma[{a}] = ({', '.join(str(v) for v in mp)})")
-    w = _first_failure(b)
+    w = first_failure(b)
     if w is None:
         print("witness: none, every circ-subgroup is a left ideal")
     else:

@@ -20,7 +20,7 @@ from dataclasses import dataclass, replace
 
 from .braces import BraceValidationError, SkewBrace, validate
 from .census import CENSUS_MAX_ORDER, CensusCapError, census, label_or_unknown
-from .groups import FiniteGroup
+from .groups import FiniteGroup, transport_table
 from .morphisms import automorphism_group
 from .perms import Perm, compose, identity_perm, perm_order
 
@@ -128,16 +128,6 @@ def enumerate_circ(additive: FiniteGroup) -> BraceEnumeration:
     return enum
 
 
-def _transport_table(t: Table, f: tuple[int, ...]) -> Table:
-    n = len(t)
-    rows = [[0] * n for _ in range(n)]
-    for a in range(n):
-        fa = f[a]
-        for b in range(n):
-            rows[fa][f[b]] = f[t[a][b]]
-    return tuple(tuple(r) for r in rows)
-
-
 def reduce_up_to_iso(enum: BraceEnumeration) -> BraceEnumeration:
     """Partition operations into isomorphism classes.
 
@@ -155,7 +145,7 @@ def reduce_up_to_iso(enum: BraceEnumeration) -> BraceEnumeration:
             continue
         orbit = set()
         for alpha in auts:
-            j = index_of.get(_transport_table(t, alpha))
+            j = index_of.get(transport_table(t, alpha))
             if j is None:  # pragma: no cover - internal fault
                 raise RuntimeError("transport of an operation left the enumeration")
             orbit.add(j)

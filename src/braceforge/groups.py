@@ -157,18 +157,24 @@ def relabel(g: FiniteGroup, label: str) -> FiniteGroup:
     return replace(g, label=label)
 
 
+def transport_table(t: Sequence[Sequence[int]], f: Sequence[int]) -> tuple[tuple[int, ...], ...]:
+    """The table t carried along the bijection f: row f[a], column f[b] holds f[t[a][b]]."""
+    n = len(t)
+    rows = [[0] * n for _ in range(n)]
+    for a in range(n):
+        row, ta = rows[f[a]], t[a]
+        for b in range(n):
+            row[f[b]] = f[ta[b]]
+    return tuple(map(tuple, rows))
+
+
 def transport(g: FiniteGroup, bij: Sequence[int], label: str = "") -> FiniteGroup:
     """Carry the group structure along a bijection with bij[0] == 0."""
-    n = g.order
-    if len(bij) != n or not is_permutation(bij):
+    if len(bij) != g.order or not is_permutation(bij):
         raise ValueError("transport map must be a permutation of the element indices")
     if bij[0] != 0:
         raise ValueError("transport map must fix the identity index 0")
-    rows = [[0] * n for _ in range(n)]
-    for a in range(n):
-        for b in range(n):
-            rows[bij[a]][bij[b]] = bij[g.table[a][b]]
-    return FiniteGroup.from_table(rows, label=label or f"{g.label}~")
+    return FiniteGroup.from_table(transport_table(g.table, bij), label=label or f"{g.label}~")
 
 
 # ---------------------------------------------------------------------------

@@ -1,113 +1,85 @@
-"""Automorphism groups, isomorphism testing, characteristic subgroups."""
+"""Automorphism groups, isomorphism testing, characteristic subgroups.
+
+Every search here goes through `isomorphisms`, which chooses images for the
+greedy generating set g1 < ... < gk of the source and walks the Cayley graph
+along the edges (x, g) -> x*g, setting f(x*g) = f(x)*f(g).
+
+Lemma 1 (the walk checks the map).  If a bijection f with f(0) = 0 agrees on
+every edge (x, g) for x in the group and g a generator, it is multiplicative:
+f(x*y) = f(x)*f(y) by induction on the length of y as a word in the
+generators, since f(x*w*g) = f(x*w)*f(g) = f(x)*f(w)*f(g) = f(x)*f(w*g).
+
+Lemma 2 (the search is ordered).  The greedy set adjoins the least element
+outside the span of the generators before it, so every element below g(j+1)
+lies in the span of g1..gj, where the images of g1..gj fix f.  Two maps whose
+generator images first differ at gj therefore agree below gj and first differ
+at gj, so trying generator images in increasing order yields the maps in
+increasing order.
+"""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Sequence
+from typing import Iterator, Sequence
 
 from .groups import FiniteGroup, Subgroup, subgroups
 from .perms import Perm
 
-Table = tuple[tuple[int, ...], ...]
 
+def isomorphisms(src: FiniteGroup, dst: FiniteGroup,
+                 candidates: Sequence[Sequence[int]] | None = None) -> Iterator[tuple[int, ...]]:
+    """Every isomorphism src -> dst, in increasing order (Lemma 2).
 
-def minimal_generating_indices(g: FiniteGroup) -> list[int]:
-    """The group's cached greedy generating set (FiniteGroup.generating_indices)."""
-    return list(g.generating_indices)
-
-
-def propagate_partial_map(src: Table, dst: Table, part: list[int]) -> list[int] | None:
-    """Close a partial map under products until stable.
-
-    part[x] is the image of x or -1.  Returns the completed assignment, or None
-    when some product forces a contradiction or a repeated image.
+    candidates[k] lists the images to try for src.generating_indices[k], in
+    increasing order; by default the dst elements of the same element order.
+    After each image is chosen, {0} is walked along right multiplication by
+    the generators chosen so far, and the branch is pruned on a clash
+    (f(x*g) already set to something else) or a repeated image.  A walk over
+    all generators reaches every element and checks every edge, so by
+    Lemma 1 each map it completes is an isomorphism.
     """
-    n = len(src)
-    used: dict[int, int] = {}
-    for i, v in enumerate(part):
-        if v != -1:
-            if v in used:
-                return None
-            used[v] = i
-    changed = True
-    while changed:
-        changed = False
-        dom = [i for i in range(n) if part[i] != -1]
-        for x in dom:
-            rx = src[x]
-            dx = dst[part[x]]
-            for y in dom:
-                z = rx[y]
-                w = dx[part[y]]
-                pz = part[z]
-                if pz == -1:
-                    owner = used.get(w)
-                    if owner is not None and owner != z:
-                        return None
-                    part[z] = w
-                    used[w] = z
-                    changed = True
-                elif pz != w:
-                    return None
-    return part
+    n = src.order
+    if dst.order != n:
+        return
+    gens = src.generating_indices
+    if candidates is None:
+        so, do = src.element_orders, dst.element_orders
+        candidates = [[y for y in dst.elements() if do[y] == so[g]] for g in gens]
+    st, dt = src.table, dst.table
 
+    def search(imgs: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
+        f = [-1] * n
+        f[0] = 0
+        used = [False] * n
+        used[0] = True
+        edges = tuple(zip(gens, imgs))
+        reached = [0]
+        for x in reached:  # grows while it is read
+            sx, fx = st[x], dt[f[x]]
+            for g, h in edges:
+                z, w = sx[g], fx[h]
+                if f[z] == -1:
+                    if used[w]:
+                        return
+                    f[z] = w
+                    used[w] = True
+                    reached.append(z)
+                elif f[z] != w:
+                    return
+        if len(imgs) == len(gens):
+            yield tuple(f)
+            return
+        for h in candidates[len(imgs)]:
+            yield from search(imgs + (h,))
 
-def _search_homs(src: Table, dst: Table, gens: Sequence[int],
-                 candidates: Sequence[Sequence[int]],
-                 final_check: Callable[[list[int]], bool] | None,
-                 first_only: bool) -> list[tuple[int, ...]]:
-    """Backtrack over generator images; every total, consistent assignment is collected."""
-    n = len(src)
-    out: list[tuple[int, ...]] = []
-
-    def rec(k: int, part: list[int]) -> bool:
-        if k == len(gens):
-            if any(v == -1 for v in part):
-                return False
-            if final_check is not None and not final_check(part):
-                return False
-            out.append(tuple(part))
-            return True
-        g = gens[k]
-        for img in candidates[k]:
-            prior = part[g]
-            if prior != -1:
-                if prior != img:
-                    continue
-                nxt = list(part)
-            else:
-                if img in part:
-                    continue
-                nxt = list(part)
-                nxt[g] = img
-            closed = propagate_partial_map(src, dst, nxt)
-            if closed is None:
-                continue
-            if rec(k + 1, closed) and first_only:
-                return True
-        return False
-
-    base = [-1] * n
-    base[0] = 0
-    rec(0, base)
-    return out
+    yield from search(())
 
 
 @lru_cache(maxsize=None)
 def automorphism_group(g: FiniteGroup) -> tuple[Perm, ...]:
-    """All automorphisms as sorted maps, by backtracking over images of a
-    minimal generating set.
-
-    Candidate images are pruned by element order; partial maps are closed under
-    products after each assignment, so contradictions are caught early.  The
-    search yields every automorphism, so no closure step follows.
-    """
-    gens = g.generating_indices
-    orders = g.element_orders
-    candidates = [[b for b in g.elements() if orders[b] == orders[gen]] for gen in gens]
-    maps = _search_homs(g.table, g.table, gens, candidates, None, first_only=False)
-    return tuple(sorted(maps))
+    """All automorphisms as maps, sorted; `isomorphisms` finds them in order."""
+    return tuple(isomorphisms(g, g))
 
 
 @dataclass(frozen=True)
@@ -127,20 +99,15 @@ class Isomorphism:
 
 
 def are_isomorphic(a: FiniteGroup, b: FiniteGroup) -> Isomorphism | None:
-    """First isomorphism found, or None.  Cheap invariants prune most mismatches."""
+    """The least isomorphism, or None.  Cheap invariants prune most mismatches."""
     if a.order != b.order:
         return None
     if sorted(a.element_orders) != sorted(b.element_orders):
         return None
     if len(a.center) != len(b.center):
         return None
-    gens = a.generating_indices
-    orders_b = b.element_orders
-    candidates = [[y for y in b.elements() if orders_b[y] == a.element_orders[gen]] for gen in gens]
-    maps = _search_homs(a.table, b.table, gens, candidates, None, first_only=True)
-    if not maps:
-        return None
-    return Isomorphism(source=a, target=b, map=maps[0])
+    f = next(isomorphisms(a, b), None)
+    return None if f is None else Isomorphism(source=a, target=b, map=f)
 
 
 def characteristic_subgroups(g: FiniteGroup) -> list[Subgroup]:

@@ -66,17 +66,14 @@ def hg_descriptor(b: SkewBrace) -> HGDescriptor:
                                     is_left_ideal=flag.is_left_ideal,
                                     failing_pair=flag.failing_pair,
                                     failure_kind=flag.failure_kind))
-    n = b.order
-    dt = b.dot.table
-    ct = b.circ.table
     return HGDescriptor(
         type_label=label_or_unknown(b.dot),
         galois_label=label_or_unknown(b.circ),
         gamma_orbits=gamma_orbits(b),
         lattice=tuple(entries),
         bijective=all(e.is_left_ideal for e in entries),
-        classical=ct == dt,
-        canonical_nonclassical=all(ct[a][x] == dt[x][a] for a in range(n) for x in range(n)),
+        classical=b.is_trivial,
+        canonical_nonclassical=b.is_almost_trivial,
     )
 
 

@@ -67,8 +67,8 @@ def test_is_good_exhaustive_mode_q8():
 def test_exhaustive_mode_scans_every_operation(monkeypatch):
     import braceforge.classify as classify
     calls = []
-    real = classify._first_failure
-    monkeypatch.setattr(classify, "_first_failure", lambda b: calls.append(b) or real(b))
+    real = classify.first_failure
+    monkeypatch.setattr(classify, "first_failure", lambda b: calls.append(b) or real(b))
     g = census_lookup("C2xC2xC2")
     v = is_good(g, exhaustive=True)
     assert len(calls) == v.braces_examined == enumerate_circ(g).count == 232

@@ -1,5 +1,6 @@
 """Every name an import binds, in the package and in the tests, is used or exported,
-and every private module-level name of the package is used somewhere in it.
+every private module-level name of the package is used somewhere in it, and no
+package module imports another module's private name.
 
 The scans are syntactic (ast): an imported name counts as used when it
 appears as a bare name anywhere in the module, in a quoted annotation, or in
@@ -117,3 +118,24 @@ def test_scan_sees_an_orphaned_helper():
                                "def _g():\n    return _LIMIT\nclass _Old:\n    pass\n"),
              "b.py": ast.parse("from a import _g\n")}
     assert _orphans(trees) == ["a.py: _f", "a.py: _Old"]
+
+
+def _private_imports(tree: ast.Module) -> list[str]:
+    """`module._name` for every `_`-prefixed name, dunders aside, that a
+    from-import takes from another module."""
+    return [f"{node.module or '.'}.{alias.name}" for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom)
+            for alias in node.names
+            if alias.name.startswith("_") and not alias.name.endswith("__")]
+
+
+@pytest.mark.parametrize("path", PACKAGE, ids=lambda p: p.name)
+def test_no_private_name_is_imported(path):
+    found = _private_imports(ast.parse(path.read_text(encoding="utf-8")))
+    assert not found, f"{path.name} imports private names of other modules: {found}"
+
+
+def test_scan_sees_a_private_import():
+    tree = ast.parse("from . import __version__\nfrom .a import _f, g\n"
+                     "def h():\n    from .b import _K\n    return _K\n")
+    assert _private_imports(tree) == ["a._f", "b._K"]

@@ -3,33 +3,22 @@ import pytest
 from oracles import oracle_automorphisms
 
 from braceforge.census import census_lookup
-from braceforge.groups import make_abelian, make_cyclic, make_dihedral, make_quaternion8, transport
+from braceforge.groups import (direct_product, make_abelian, make_cyclic, make_dicyclic,
+                               make_dihedral, make_quaternion8, transport)
 from braceforge.morphisms import (Isomorphism, are_isomorphic, automorphism_group,
-                                  characteristic_subgroups, minimal_generating_indices,
-                                  propagate_partial_map)
+                                  characteristic_subgroups, isomorphisms)
+from braceforge.perms import compose
 
 
-def test_minimal_generating_indices():
-    assert minimal_generating_indices(make_cyclic(6)) == [1]
-    gens = minimal_generating_indices(make_quaternion8())
-    assert len(gens) == 2
-
-
-def test_propagate_partial_map_extends_consistently():
+def test_isomorphisms_extends_generator_image():
     g = make_cyclic(4)
-    part = [-1] * 4
-    part[0] = 0
-    part[1] = 3  # force the inversion automorphism
-    full = propagate_partial_map(g.table, g.table, part)
-    assert full == [0, 3, 2, 1]
+    assert list(isomorphisms(g, g, candidates=[[3]])) == [(0, 3, 2, 1)]  # inversion
 
 
-def test_propagate_partial_map_detects_conflict():
+def test_isomorphisms_prunes_conflict():
     g = make_cyclic(4)
-    part = [-1] * 4
-    part[0] = 0
-    part[1] = 2  # 1 has order 4, 2 has order 2: no homomorphic extension is injective
-    assert propagate_partial_map(g.table, g.table, part) is None
+    # 1 has order 4, 2 has order 2: no homomorphic extension is injective
+    assert list(isomorphisms(g, g, candidates=[[2]])) == []
 
 
 def test_automorphisms_match_oracle(census15):
@@ -37,6 +26,17 @@ def test_automorphisms_match_oracle(census15):
         if e.order > 8:
             continue
         assert automorphism_group(e.group) == tuple(oracle_automorphisms(e.group))
+
+
+ORDER_16 = {  # beyond the census
+    "C2xC2xC2xC2": lambda: make_abelian([2, 2, 2, 2]),
+    "C4xC4": lambda: make_abelian([4, 4]),
+    "C4xC2xC2": lambda: make_abelian([4, 2, 2]),
+    "D8xC2": lambda: direct_product(make_dihedral(8), make_cyclic(2)),
+    "Q8xC2": lambda: direct_product(make_dicyclic(2), make_cyclic(2)),
+    "D16": lambda: make_dihedral(16),
+    "Dic4": lambda: make_dicyclic(4),
+}
 
 
 @pytest.mark.parametrize("label, expected", [
@@ -49,9 +49,19 @@ def test_automorphisms_match_oracle(census15):
     ("S3", 6),
     ("C6", 2),
     ("A4", 24),
+    ("C2xC2xC2xC2", 20160),
+    ("C4xC4", 96),
+    ("C4xC2xC2", 192),
+    ("D8xC2", 64),
+    ("Q8xC2", 192),
+    ("D16", 32),
+    ("Dic4", 32),
 ])
 def test_automorphism_group_orders(label, expected):
-    assert len(automorphism_group(census_lookup(label))) == expected
+    g = ORDER_16[label]() if label in ORDER_16 else census_lookup(label)
+    auts = automorphism_group(g)
+    assert len(auts) == expected
+    assert list(auts) == sorted(auts)
 
 
 def test_are_isomorphic_finds_map():
@@ -76,6 +86,18 @@ def test_are_isomorphic_on_transport():
     g = census_lookup("D8")
     moved = transport(g, (0, 3, 5, 7, 2, 4, 6, 1))
     assert are_isomorphic(g, moved) is not None
+
+
+def test_are_isomorphic_returns_least_map(census15):
+    # the maps g -> transport(g, bij) are bij after an automorphism of g;
+    # for n <= 2 the reversal is the identity, the only bijection fixing 0
+    for e in census15:
+        if e.order > 8:
+            continue
+        g = e.group
+        bij = (0, *range(g.order - 1, 0, -1))
+        iso = are_isomorphic(g, transport(g, bij))
+        assert iso.map == min(compose(bij, a) for a in oracle_automorphisms(g)), g.label
 
 
 def test_isomorphism_rejects_lying_map():
