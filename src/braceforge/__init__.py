@@ -13,7 +13,8 @@ from .braces import (BraceRelationError, BraceValidationError, GammaFunction,
                      gamma, is_left_ideal, left_ideal_status, left_ideals,
                      trivial, validate)
 from .census import (CENSUS_MAX_ORDER, CensusCapError, CensusEntry, census,
-                     census_label, census_labels, census_lookup, label_or_unknown)
+                     census_label, census_labels, census_lookup, census_match,
+                     label_or_unknown)
 from .classify import (Verdict, Witness, c_group_check, direct_factor_witness,
                        is_good, theorem_predicate, verify_theorem, verify_witness)
 from .constructions import (brace_order4_nontrivial, example_c2cubed,
@@ -37,7 +38,8 @@ __all__ = [
     "gamma", "is_left_ideal", "left_ideal_status", "left_ideals", "trivial",
     "validate",
     "CENSUS_MAX_ORDER", "CensusCapError", "CensusEntry", "census",
-    "census_label", "census_labels", "census_lookup", "label_or_unknown",
+    "census_label", "census_labels", "census_lookup", "census_match",
+    "label_or_unknown",
     "Verdict", "Witness", "c_group_check", "direct_factor_witness", "is_good",
     "theorem_predicate", "verify_theorem", "verify_witness",
     "brace_order4_nontrivial", "example_c2cubed", "example_cn_even",

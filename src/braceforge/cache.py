@@ -102,9 +102,9 @@ def cached_verdict(group: FiniteGroup, exhaustive: bool,
     if payload is None:
         return None
     try:
-        v = verdict_from_obj(payload)
+        v = verdict_from_obj(payload, dot=group)  # the witness must sit on group's table
         if (v.good or v.witness is None or v.group_label != group.label
-                or v.exhaustive != exhaustive or v.witness.brace.dot.table != group.table):
+                or v.exhaustive != exhaustive):
             raise ValueError("not a bad verdict with a witness for this group and mode")
         replay_witness(v.witness)  # the parser has already validated the brace
     except ValueError as exc:  # SchemaError, CayleyTableError, BraceValidationError, replay

@@ -7,7 +7,7 @@ from functools import lru_cache
 
 from .groups import (FiniteGroup, make_abelian, make_alternating4, make_cyclic,
                      make_dicyclic, make_dihedral, make_quaternion8, relabel)
-from .morphisms import are_isomorphic
+from .morphisms import invariants_agree, isomorphisms
 
 CENSUS_MAX_ORDER = 15
 
@@ -78,14 +78,36 @@ def census_lookup(label: str) -> FiniteGroup:
 
 
 @lru_cache(maxsize=None)
-def census_label(g: FiniteGroup) -> str | None:
-    """Label of the census entry isomorphic to g, or None above the cap."""
+def census_match(g: FiniteGroup) -> tuple[CensusEntry, tuple[int, ...]] | None:
+    """The census entry isomorphic to g with the least isomorphism f: g -> entry.group,
+    or None above the cap.
+
+    f is the first map `isomorphisms` yields, behind the same invariant
+    prefilter as `are_isomorphic`.  It is returned raw: the Cayley-graph walk
+    that built it has already proved it multiplicative (Lemma 1 of
+    `morphisms`), so no `Isomorphism` re-check runs.  Callers that need more
+    than the label use f to carry structure over from the representative,
+    which is computed once per census entry instead of once per group.
+    """
     if g.order > CENSUS_MAX_ORDER:
         return None
     for e in _full_census():
-        if e.order == g.order and are_isomorphic(g, e.group) is not None:
-            return e.label
+        if invariants_agree(g, e.group):
+            f = next(isomorphisms(g, e.group), None)
+            if f is not None:
+                return e, f
     return None
+
+
+@lru_cache(maxsize=None)
+def census_label(g: FiniteGroup) -> str | None:
+    """Label of the census entry isomorphic to g, or None above the cap.
+
+    Memoized apart from `census_match` so that `cache_info()` counts the
+    distinct groups labelled.
+    """
+    match = census_match(g)
+    return None if match is None else match[0].label
 
 
 def label_or_unknown(g: FiniteGroup) -> str:

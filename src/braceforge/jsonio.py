@@ -1,9 +1,10 @@
 """Canonical JSON layouts for groups, braces, enumerations, verdicts, and reports.
 
 Serialization is deterministic (sorted keys, fixed indentation) so equal
-objects always produce identical bytes.  Parsing validates shape with
-JSON-path context in every error, then runs the full mathematical validation
-(FiniteGroup.from_table and braces.validate) on every table.  Groups, braces,
+objects always produce identical bytes; `canonical_dumps` is the one writer.
+Parsing validates shape with JSON-path context in every error, then runs the
+full mathematical validation (FiniteGroup.from_table and braces.validate) on
+every table, except a dot table the caller already trusts.  Groups, braces,
 verdicts and report bundles are parsed; an enumeration is only written, as
 the output of `brace enumerate`.  There is one decode path: user files and
 cache entries are parsed alike.
@@ -29,8 +30,77 @@ class SchemaError(ValueError):
         super().__init__(f"{path}: {message}")
 
 
+_escape = json.encoder.encode_basestring_ascii
+_INF = float("inf")
+
+
 def canonical_dumps(obj: Any) -> str:
-    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+    """`json.dumps(obj, sort_keys=True, indent=2)` plus a newline, byte for byte.
+
+    Written directly: an `indent` sends `json.dumps` down its pure-Python
+    encoder, which yields every token separately.  Here a list of ints, most
+    of what the library writes, is one `str.join`; everything else follows
+    the stdlib encoder's rules (ASCII-escaped strings, NaN and Infinity,
+    tuples as arrays).  Keys must be strings, as in everything the library
+    writes; the stdlib would convert numbers, bools and None.
+    """
+    out: list[str] = []
+    _write(obj, "\n", out)
+    out.append("\n")
+    return "".join(out)
+
+
+def _float_text(v: float) -> str:
+    if v != v:
+        return "NaN"
+    if v == _INF:
+        return "Infinity"
+    if v == -_INF:
+        return "-Infinity"
+    return float.__repr__(v)
+
+
+def _write(v: Any, nl: str, out: list[str]) -> None:
+    """Append v's text to out; nl is a newline plus the indentation v sits at."""
+    if isinstance(v, str):
+        out.append(_escape(v))
+    elif v is None:
+        out.append("null")
+    elif v is True or v is False:
+        out.append("true" if v else "false")
+    elif isinstance(v, int):
+        out.append(int.__repr__(v))
+    elif isinstance(v, float):
+        out.append(_float_text(v))
+    elif isinstance(v, (list, tuple)):
+        if not v:
+            out.append("[]")
+            return
+        inner = nl + "  "
+        if all(type(x) is int for x in v):
+            out.append("[" + inner + ("," + inner).join(map(int.__repr__, v)) + nl + "]")
+            return
+        sep = "[" + inner
+        for x in v:
+            out.append(sep)
+            _write(x, inner, out)
+            sep = "," + inner
+        out.append(nl + "]")
+    elif isinstance(v, dict):
+        if not v:
+            out.append("{}")
+            return
+        inner = nl + "  "
+        sep = "{" + inner
+        for k, x in sorted(v.items()):
+            if not isinstance(k, str):
+                raise TypeError(f"keys must be str, not {type(k).__name__}")
+            out.append(sep + _escape(k) + ": ")
+            _write(x, inner, out)
+            sep = "," + inner
+        out.append(nl + "}")
+    else:
+        raise TypeError(f"Object of type {type(v).__name__} is not JSON serializable")
 
 
 def canonical_bytes(obj: Any) -> bytes:
@@ -89,7 +159,9 @@ def brace_to_obj(b: SkewBrace) -> dict:
             "circ": [list(r) for r in b.circ.table]}
 
 
-def brace_from_obj(obj: Any, path: str = "$") -> SkewBrace:
+def brace_from_obj(obj: Any, path: str = "$", dot: FiniteGroup | None = None) -> SkewBrace:
+    """Parse and validate a brace.  Given a trusted `dot` group, the stored dot
+    table must equal its table, and the group is reused instead of re-checked."""
     d = _expect_dict(obj, path, {"order", "label", "dot", "circ"})
     if not _is_int(d["order"]) or d["order"] < 1:
         raise SchemaError(f"{path}.order", "expected a positive int")
@@ -97,8 +169,11 @@ def brace_from_obj(obj: Any, path: str = "$") -> SkewBrace:
         raise SchemaError(f"{path}.label", "expected a string")
     dot_rows = _expect_table(d["dot"], d["order"], f"{path}.dot")
     circ_rows = _expect_table(d["circ"], d["order"], f"{path}.circ")
-    return validate(FiniteGroup.from_table(dot_rows),
-                    FiniteGroup.from_table(circ_rows), label=d["label"])
+    if dot is None:
+        dot = FiniteGroup.from_table(dot_rows)
+    elif tuple(map(tuple, dot_rows)) != dot.table:
+        raise SchemaError(f"{path}.dot", "differs from the expected group's table")
+    return validate(dot, FiniteGroup.from_table(circ_rows), label=d["label"])
 
 
 # ---------------------------------------------------------------------------
@@ -124,9 +199,9 @@ def witness_to_obj(w: Witness) -> dict:
             "failing": list(w.failing), "kind": w.kind}
 
 
-def witness_from_obj(obj: Any, path: str = "$") -> Witness:
+def witness_from_obj(obj: Any, path: str = "$", dot: FiniteGroup | None = None) -> Witness:
     d = _expect_dict(obj, path, {"brace", "subgroup", "failing", "kind"})
-    brace = brace_from_obj(d["brace"], f"{path}.brace")
+    brace = brace_from_obj(d["brace"], f"{path}.brace", dot)
     if not isinstance(d["subgroup"], list) or not all(map(_is_int, d["subgroup"])):
         raise SchemaError(f"{path}.subgroup", "expected a list of ints")
     if (not isinstance(d["failing"], list) or len(d["failing"]) != 2
@@ -144,7 +219,8 @@ def verdict_to_obj(v: Verdict) -> dict:
             "braces_examined": v.braces_examined, "exhaustive": v.exhaustive}
 
 
-def verdict_from_obj(obj: Any, path: str = "$") -> Verdict:
+def verdict_from_obj(obj: Any, path: str = "$", dot: FiniteGroup | None = None) -> Verdict:
+    """Parse a verdict; `dot`, if given, is the trusted group its witness must sit on."""
     d = _expect_dict(obj, path, {"group", "good", "witness", "braces_examined", "exhaustive"})
     if not isinstance(d["group"], str):
         raise SchemaError(f"{path}.group", "expected a string")
@@ -153,7 +229,8 @@ def verdict_from_obj(obj: Any, path: str = "$") -> Verdict:
             raise SchemaError(f"{path}.{key}", "expected a bool")
     if not _is_int(d["braces_examined"]):
         raise SchemaError(f"{path}.braces_examined", "expected an int")
-    witness = None if d["witness"] is None else witness_from_obj(d["witness"], f"{path}.witness")
+    witness = (None if d["witness"] is None
+               else witness_from_obj(d["witness"], f"{path}.witness", dot))
     return Verdict(group_label=d["group"], good=d["good"], witness=witness,
                    braces_examined=d["braces_examined"], exhaustive=d["exhaustive"])
 

@@ -98,13 +98,15 @@ class Isomorphism:
                     raise ValueError(f"map is not multiplicative at ({a}, {b})")
 
 
+def invariants_agree(a: FiniteGroup, b: FiniteGroup) -> bool:
+    """Cheap isomorphism invariants: order, element-order multiset, center size."""
+    return (a.order == b.order and sorted(a.element_orders) == sorted(b.element_orders)
+            and len(a.center) == len(b.center))
+
+
 def are_isomorphic(a: FiniteGroup, b: FiniteGroup) -> Isomorphism | None:
-    """The least isomorphism, or None.  Cheap invariants prune most mismatches."""
-    if a.order != b.order:
-        return None
-    if sorted(a.element_orders) != sorted(b.element_orders):
-        return None
-    if len(a.center) != len(b.center):
+    """The least isomorphism, checked, or None.  `invariants_agree` prunes most mismatches."""
+    if not invariants_agree(a, b):
         return None
     f = next(isomorphisms(a, b), None)
     return None if f is None else Isomorphism(source=a, target=b, map=f)

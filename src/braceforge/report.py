@@ -3,16 +3,39 @@
 The descriptor records both isomorphism type labels, the orbits of the gamma
 maps, and the full circ-subgroup lattice with a left-ideal flag per node; the
 correspondence is bijective exactly when every node is flagged.
+
+Three facts keep it cheap.
+
+Transport.  An isomorphism maps subgroups bijectively onto subgroups.  So
+when `census_match` gives the census entry of the circ group with the least
+isomorphism f onto it, the representative's lattice, computed once per
+entry, carried back along f^-1 and re-sorted by (size, members) is exactly
+`subgroups(circ)`.
+
+Mask test.  a -> gamma_a is a homomorphism from circ to Aut(dot)
+(Guarnieri-Vendramin 2017, Prop. 1.9), and a . b = a o gamma_a'(b) with a'
+the circ-inverse of a.  So a circ-subgroup S with gamma_a(S) in S for every
+a is dot-closed, and by definition a left ideal.  With reach[x] the bitmask
+of {gamma_a(x) : a}, S is gamma-invariant exactly when the OR of reach[x]
+over x in S is S's own mask (it holds S's mask, since gamma_0 is the
+identity).  Only the other nodes run the exact
+`left_ideal_status` scan, which names their failing pair and failure kind.
+
+Orbits.  The maps gamma_a are the image of a homomorphism from a finite
+group, so they are closed under composition, and the orbit of x under the
+group they generate is the single image set {gamma_a(x) : a}: reach[x].
 """
 
 from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .braces import SkewBrace, gamma, left_ideal_status
-from .census import label_or_unknown
-from .groups import subgroups
+from .census import CensusEntry, census_match, label_or_unknown
+from .groups import FiniteGroup, subgroups
+from .perms import invert
 
 
 @dataclass(frozen=True)
@@ -34,34 +57,62 @@ class HGDescriptor:
     canonical_nonclassical: bool
 
 
+def _reach(b: SkewBrace) -> list[int]:
+    """reach[x] is the bitmask of {gamma_a(x) : a}."""
+    reach = [0] * b.order
+    for m in gamma(b).maps:
+        for x, y in enumerate(m):
+            reach[x] |= 1 << y
+    return reach
+
+
+def _orbits(reach: list[int]) -> tuple[tuple[int, ...], ...]:
+    """The distinct masks as member tuples; each first appears at its least member."""
+    seen: set[int] = set()
+    orbits = []
+    for mask in reach:
+        if mask not in seen:
+            seen.add(mask)
+            orbits.append(tuple(x for x in range(len(reach)) if mask >> x & 1))
+    return tuple(orbits)
+
+
 def gamma_orbits(b: SkewBrace) -> tuple[tuple[int, ...], ...]:
     """Orbits of the group generated by all gamma maps, sorted by least member."""
-    maps = gamma(b).maps
-    n = b.order
-    seen = [False] * n
-    orbits = []
-    for start in range(n):
-        if seen[start]:
-            continue
-        orbit = {start}
-        frontier = [start]
-        while frontier:
-            x = frontier.pop()
-            for m in maps:
-                y = m[x]
-                if y not in orbit:
-                    orbit.add(y)
-                    frontier.append(y)
-        for x in orbit:
-            seen[x] = True
-        orbits.append(tuple(sorted(orbit)))
-    return tuple(sorted(orbits))
+    return _orbits(_reach(b))
+
+
+@lru_cache(maxsize=None)
+def _entry_lattice(entry: CensusEntry) -> tuple[tuple[int, ...], ...]:
+    return tuple(s.members for s in subgroups(entry.group))
+
+
+def _lattice(g: FiniteGroup) -> list[tuple[int, ...]]:
+    """Member tuples of `subgroups(g)`, carried from the census representative
+    (Transport); above the cap, from g itself along the identity."""
+    match = census_match(g)
+    if match is None:
+        lattice, back = [s.members for s in subgroups(g)], range(g.order)
+    else:
+        entry, f = match
+        lattice, back = _entry_lattice(entry), invert(f)
+    return sorted((tuple(sorted([back[x] for x in m])) for m in lattice),
+                  key=lambda m: (len(m), m))
 
 
 def hg_descriptor(b: SkewBrace) -> HGDescriptor:
+    reach = _reach(b)
     entries = []
-    for s in subgroups(b.circ):
-        flag = left_ideal_status(b, s.members)
+    for ms in _lattice(b.circ):
+        mask = closure = 0
+        for x in ms:
+            mask |= 1 << x
+            closure |= reach[x]
+        if closure == mask:
+            entries.append(LatticeEntry(members=ms, is_left_ideal=True,
+                                        failing_pair=None, failure_kind=None))
+            continue
+        flag = left_ideal_status(b, ms)
         entries.append(LatticeEntry(members=flag.members,
                                     is_left_ideal=flag.is_left_ideal,
                                     failing_pair=flag.failing_pair,
@@ -69,7 +120,7 @@ def hg_descriptor(b: SkewBrace) -> HGDescriptor:
     return HGDescriptor(
         type_label=label_or_unknown(b.dot),
         galois_label=label_or_unknown(b.circ),
-        gamma_orbits=gamma_orbits(b),
+        gamma_orbits=_orbits(reach),
         lattice=tuple(entries),
         bijective=all(e.is_left_ideal for e in entries),
         classical=b.is_trivial,

@@ -19,3 +19,9 @@ def braces_up_to_12(census15):
         if e.order <= 12:
             out.extend(enumerate_circ(e.group).operations)
     return out
+
+
+@pytest.fixture(scope="session")
+def census_braces(census15):
+    """All 498 compatible operations on the census groups."""
+    return [b for e in census15 for b in enumerate_circ(e.group).operations]

@@ -11,10 +11,11 @@ from itertools import combinations, permutations
 from typing import Iterable
 
 from braceforge.braces import (BraceRelationError, BraceValidationError, SkewBrace,
-                               brace_isomorphic, validate)
-from braceforge.census import CensusCapError, census
-from braceforge.groups import CayleyTableError, FiniteGroup, closure_of
-from braceforge.morphisms import automorphism_group
+                               brace_isomorphic, gamma, left_ideal_status, validate)
+from braceforge.census import CENSUS_MAX_ORDER, CensusCapError, census
+from braceforge.groups import CayleyTableError, FiniteGroup, closure_of, subgroups
+from braceforge.morphisms import are_isomorphic, automorphism_group
+from braceforge.report import HGDescriptor, LatticeEntry
 
 ORACLE_MAX_ORDER = 6
 
@@ -285,3 +286,48 @@ def oracle_search_slots(g: FiniteGroup) -> set[int]:
 
     grow({ident})
     return picked
+
+
+def oracle_label(g: FiniteGroup) -> str:
+    """The first census entry the checked `are_isomorphic` matches, else unknown."""
+    if g.order <= CENSUS_MAX_ORDER:
+        for e in census():
+            if are_isomorphic(g, e.group) is not None:
+                return e.label
+    return f"unknown-order-{g.order}"
+
+
+def oracle_gamma_orbits(b: SkewBrace) -> tuple[tuple[int, ...], ...]:
+    """Orbits of the group generated by the gamma maps, by breadth-first search."""
+    maps = gamma(b).maps
+    seen: set[int] = set()
+    orbits = []
+    for start in range(b.order):
+        if start in seen:
+            continue
+        orbit = {start}
+        frontier = [start]
+        while frontier:
+            x = frontier.pop()
+            for m in maps:
+                if m[x] not in orbit:
+                    orbit.add(m[x])
+                    frontier.append(m[x])
+        seen |= orbit
+        orbits.append(tuple(sorted(orbit)))
+    return tuple(sorted(orbits))
+
+
+def oracle_hg_descriptor(b: SkewBrace) -> HGDescriptor:
+    """The descriptor from the circ group's own lattice, the exact left-ideal
+    scan on every node, and breadth-first gamma orbits."""
+    entries = []
+    for s in subgroups(b.circ):
+        flag = left_ideal_status(b, s.members)
+        entries.append(LatticeEntry(members=flag.members, is_left_ideal=flag.is_left_ideal,
+                                    failing_pair=flag.failing_pair,
+                                    failure_kind=flag.failure_kind))
+    return HGDescriptor(type_label=oracle_label(b.dot), galois_label=oracle_label(b.circ),
+                        gamma_orbits=oracle_gamma_orbits(b), lattice=tuple(entries),
+                        bijective=all(e.is_left_ideal for e in entries),
+                        classical=b.is_trivial, canonical_nonclassical=b.is_almost_trivial)

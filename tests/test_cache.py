@@ -18,7 +18,7 @@ from braceforge.cache import (CACHE_DIR_ENV, DEFAULT_CACHE_DIR, cached_verdict,
 from braceforge.census import census_lookup
 from braceforge.classify import is_good
 from braceforge.cli import main
-from braceforge.groups import transport
+from braceforge.groups import FiniteGroup, transport
 
 
 def test_resolve_cache_dir_precedence(monkeypatch, tmp_path):
@@ -70,6 +70,36 @@ def test_cached_witness_is_validated_once(monkeypatch, tmp_path):
     monkeypatch.setattr(classify, "validate", counting_validate)
     assert cached_verdict(g, False, tmp_path) == expected
     assert calls == 1
+
+
+def test_cached_witness_reuses_the_trusted_group(monkeypatch, tmp_path):
+    # the stored dot rows are compared with the group's table, not re-gated
+    g = census_lookup("Q8")
+    expected = is_good(g, cache_dir=tmp_path)
+    gated = []
+    from_table = FiniteGroup.from_table
+
+    def counting(rows, label=""):
+        gated.append(rows)
+        return from_table(rows, label)
+
+    monkeypatch.setattr(FiniteGroup, "from_table", counting)
+    hit = cached_verdict(g, False, tmp_path)
+    assert hit == expected and hit.witness.brace.dot is g
+    assert gated == [[list(r) for r in expected.witness.brace.circ.table]]
+
+
+def test_cached_witness_on_another_dot_table_is_refused(tmp_path):
+    g = census_lookup("Q8")
+    expected = is_good(g, cache_dir=tmp_path)
+    entry = next(tmp_path.glob("*.json"))
+    obj = json.loads(entry.read_bytes())
+    obj["payload"]["witness"]["brace"]["dot"] = [list(r) for r in census_lookup("D8").table]
+    entry.write_text(json.dumps(obj))
+    with pytest.warns(UserWarning, match=r"witness\.brace\.dot"):
+        assert cached_verdict(g, False, tmp_path) is None
+    with pytest.warns(UserWarning, match="corrupt cache entry"):
+        assert is_good(g, cache_dir=tmp_path) == expected
 
 
 def test_cached_witness_whose_pair_does_not_fail_is_refused(tmp_path):

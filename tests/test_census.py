@@ -11,6 +11,7 @@ import pytest
 
 from braceforge.census import (CENSUS_MAX_ORDER, CensusCapError, EXPECTED_COUNTS,
                                census, census_label, census_labels, census_lookup,
+                               census_match,
                                label_or_unknown)
 from braceforge.groups import (FiniteGroup, make_abelian, make_cyclic,
                                make_quaternion8, semidirect_product, transport)
@@ -64,6 +65,13 @@ def test_census_label_identifies_up_to_isomorphism():
     moved = transport(d8, (0, 3, 5, 7, 2, 4, 6, 1))
     assert census_label(moved) == "D8"
     assert census_label(make_abelian([2, 4])) == "C4xC2"
+
+
+def test_census_match_is_the_least_checked_isomorphism(census_braces):
+    for g in {b.circ for b in census_braces}:
+        entry, f = census_match(g)
+        assert census_label(g) == entry.label
+        assert f == are_isomorphic(g, entry.group).map
 
 
 def test_label_or_unknown_above_cap():

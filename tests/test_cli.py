@@ -2,10 +2,13 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 import re
 import subprocess
 import sys
+
+import pytest
 
 from braceforge import __version__
 from braceforge.cli import main
@@ -391,3 +394,20 @@ def test_cli_subprocess_deterministic_across_worker_counts(tmp_path):
     one = subprocess.run(base + ["--workers", "1"], capture_output=True, check=True)
     two = subprocess.run(base + ["--workers", "2"], capture_output=True, check=True)
     assert one.stdout == two.stdout
+
+
+# SHA-256 of the canonical JSON two commands print.  Any change to the writer
+# or to the descriptor that moves one byte fails here.
+PINNED_JSON = {
+    ("brace", "enumerate", "C2xC2", "--up-to-iso", "--json"):
+        "9a4f53000572a7855495a2a940d4a1282f8ef76818a5d11a324e10ae87def1f8",
+    ("hg", "report", "almost-trivial:D8", "--json"):
+        "7da83bab80fabdf371b8c98018afdb9ce4f3867735692f7f73e40f50b97496ca",
+}
+
+
+@pytest.mark.parametrize("argv", sorted(PINNED_JSON), ids=" ".join)
+def test_json_output_is_pinned(capsys, argv):
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == PINNED_JSON[argv]

@@ -1,6 +1,7 @@
 """Every name an import binds, in the package and in the tests, is used or exported,
-every private module-level name of the package is used somewhere in it, and no
-package module imports another module's private name.
+every private module-level name of the package is used somewhere in it, no
+package module imports another module's private name, and only `jsonio`
+writes JSON.
 
 The scans are syntactic (ast): an imported name counts as used when it
 appears as a bare name anywhere in the module, in a quoted annotation, or in
@@ -139,3 +140,30 @@ def test_scan_sees_a_private_import():
     tree = ast.parse("from . import __version__\nfrom .a import _f, g\n"
                      "def h():\n    from .b import _K\n    return _K\n")
     assert _private_imports(tree) == ["a._f", "b._K"]
+
+
+def _json_writes(tree: ast.Module) -> list[str]:
+    """Every use of json.dump or json.dumps: as an attribute, or imported by name."""
+    found = []
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and node.attr in ("dump", "dumps")
+                and isinstance(node.value, ast.Name) and node.value.id == "json"):
+            found.append(f"line {node.lineno}: json.{node.attr}")
+        elif isinstance(node, ast.ImportFrom) and node.module == "json":
+            found += [f"line {node.lineno}: from json import {alias.name}"
+                      for alias in node.names if alias.name in ("dump", "dumps")]
+    return found
+
+
+@pytest.mark.parametrize("path", [p for p in PACKAGE if p.name != "jsonio.py"],
+                         ids=lambda p: p.name)
+def test_only_jsonio_writes_json(path):
+    # jsonio.canonical_dumps is the one writer, so equal objects give equal bytes
+    found = _json_writes(ast.parse(path.read_text(encoding="utf-8")))
+    assert not found, f"{path.name} writes JSON itself: {found}"
+
+
+def test_scan_sees_a_json_write():
+    tree = ast.parse("import json\nfrom json import dumps as d, loads\n"
+                     "def f(x, fh):\n    json.dump(x, fh)\n    return json.loads(d(x))\n")
+    assert _json_writes(tree) == ["line 2: from json import dumps", "line 4: json.dump"]

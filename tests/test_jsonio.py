@@ -5,11 +5,13 @@ from __future__ import annotations
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from braceforge.braces import BraceRelationError, trivial
 from braceforge.census import census_lookup
 from braceforge.classify import is_good, verify_theorem
 from braceforge.constructions import example_q8
+from braceforge.groups import FiniteGroup
 from braceforge.jsonio import (BUNDLE_SCHEMA, SchemaError, brace_from_obj,
                                brace_to_obj, canonical_bytes, canonical_dumps,
                                descriptor_from_obj, descriptor_to_obj,
@@ -23,6 +25,30 @@ def test_canonical_dumps_is_sorted_and_newline_terminated():
     s = canonical_dumps({"b": 1, "a": [1, 2]})
     assert s == '{\n  "a": [\n    1,\n    2\n  ],\n  "b": 1\n}\n'
     assert canonical_bytes({"b": 1, "a": [1, 2]}) == s.encode("utf-8")
+
+
+# Any JSON value, with tuples, every float (-0.0, nan, inf), big ints, and
+# keys drawn from every code point, surrogates and control characters included.
+ANY_TEXT = st.text(st.characters(exclude_categories=()))
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.integers(-2**200, 2**200)
+    | st.floats() | st.sampled_from([-0.0, float("nan"), float("inf"), -float("inf")])
+    | ANY_TEXT | st.sampled_from(["é", "\x00\x1f", "\u2028", "\"\\/"]),
+    lambda kids: (st.lists(kids) | st.lists(kids).map(tuple)
+                  | st.dictionaries(ANY_TEXT | st.sampled_from(["", "é", "\n"]), kids)),
+    max_leaves=20)
+
+
+@settings(max_examples=150, deadline=None)
+@given(JSON_VALUES)
+def test_canonical_dumps_matches_the_stdlib_encoder(value):
+    assert canonical_dumps(value) == json.dumps(value, sort_keys=True, indent=2) + "\n"
+
+
+def test_canonical_dumps_refuses_what_it_cannot_write():
+    for bad in ({1: 0}, {None: 0}, {"x": {1, 2}}, [object()]):
+        with pytest.raises(TypeError):
+            canonical_dumps(bad)
 
 
 def test_group_round_trip():
@@ -155,6 +181,25 @@ def test_theorem_report_to_obj_shape():
     assert obj["good_labels"] == ["C1", "C2", "C3", "C2xC2", "C5"]
     assert [row["label"] for row in obj["rows"]] == [e.label for e in r.rows]
     json.dumps(obj)  # must be JSON-clean
+
+
+def test_brace_from_obj_reuses_a_trusted_dot_group(monkeypatch):
+    b = example_q8()
+    obj = brace_to_obj(b)
+    checked = []
+    from_table = FiniteGroup.from_table
+
+    def counting(rows, label=""):
+        checked.append(rows)
+        return from_table(rows, label)
+
+    monkeypatch.setattr(FiniteGroup, "from_table", counting)
+    back = brace_from_obj(obj, dot=b.dot)
+    assert back == b and back.dot is b.dot
+    assert checked == [obj["circ"]]  # only the circ table goes through the gate
+    with pytest.raises(SchemaError) as exc:
+        brace_from_obj(obj, dot=census_lookup("D8"))
+    assert exc.value.path == "$.dot"
 
 
 def test_descriptor_round_trip():

@@ -2,19 +2,25 @@
 
 from __future__ import annotations
 
+import importlib
+import json
+
 import pytest
 
 import braceforge
 from braceforge.braces import almost_trivial, trivial
-from braceforge.census import census, census_lookup
+from braceforge.census import census, census_label, census_lookup, census_match
 from braceforge.constructions import (brace_order4_nontrivial, example_c2cubed,
                                       example_cn_even, example_p_odd, example_pq,
                                       example_q8)
-from braceforge.groups import relabel, subgroups
-from braceforge.report import (brace_digest, gamma_orbits, hg_descriptor,
+from braceforge.groups import (direct_product, make_abelian, make_cyclic, make_dicyclic,
+                               make_dihedral, relabel, subgroups, transport)
+from braceforge.jsonio import serialize
+from braceforge.morphisms import Isomorphism, are_isomorphic
+from braceforge.report import (ReportBundle, brace_digest, gamma_orbits, hg_descriptor,
                                render_dot, report_bundle)
 
-from oracles import oracle_conjugacy_classes
+from oracles import oracle_conjugacy_classes, oracle_hg_descriptor
 
 
 def test_trivial_braces_are_classical_and_bijective():
@@ -153,3 +159,65 @@ def test_report_bundle_fields():
     assert bundle.descriptor == hg_descriptor(b)
     timed = report_bundle(b, timing_ms=12.5)
     assert timed.timing_ms == 12.5
+
+
+census_module = importlib.import_module("braceforge.census")  # the package exports census()
+
+# Above the census cap, so the lattice comes from the group itself.
+BEYOND_CENSUS = [make(g) for g in (direct_product(make_dihedral(8), make_cyclic(2)),
+                                   make_abelian([4, 4]), make_dicyclic(4))
+                 for make in (trivial, almost_trivial)]
+BEYOND_CENSUS += [example_pq(7, 3, 1, 1), example_p_odd(3, 2, 1)]
+
+
+def _assert_matches_oracle(b):
+    d = hg_descriptor(b)
+    assert d == oracle_hg_descriptor(b), b.label
+    data = serialize(report_bundle(b))
+    assert data == serialize(ReportBundle(descriptor=oracle_hg_descriptor(b),
+                                          input_sha256=brace_digest(b),
+                                          tool_version=braceforge.__version__))
+    assert data == (json.dumps(json.loads(data), sort_keys=True, indent=2) + "\n").encode()
+    assert render_dot(d) == render_dot(oracle_hg_descriptor(b))
+
+
+def test_descriptor_matches_oracle_on_every_census_brace(census_braces):
+    assert len(census_braces) == 498
+    for b in census_braces:
+        _assert_matches_oracle(b)
+
+
+@pytest.mark.parametrize("b", BEYOND_CENSUS, ids=lambda b: b.label)
+def test_descriptor_matches_oracle_beyond_the_census(b):
+    assert census_match(b.circ) is None
+    _assert_matches_oracle(b)
+
+
+def test_labelling_and_lattice_share_one_isomorphism_search(monkeypatch):
+    # a relabelled A4 no other test has seen: nothing is memoized for it yet
+    fresh = transport(census_lookup("A4"), (0, 7, 3, 11, 1, 9, 5, 2, 10, 4, 8, 6))
+    census_match.cache_clear()
+    census_label.cache_clear()
+    searches = built = 0
+    search = census_module.isomorphisms
+
+    def counting_search(*args):
+        nonlocal searches
+        searches += 1
+        return search(*args)
+
+    check = Isomorphism.__post_init__
+
+    def counting_check(self):
+        nonlocal built
+        built += 1
+        check(self)
+
+    monkeypatch.setattr(census_module, "isomorphisms", counting_search)
+    monkeypatch.setattr(Isomorphism, "__post_init__", counting_check)
+    d = hg_descriptor(trivial(fresh))  # labels dot and circ, carries the lattice
+    assert d.type_label == d.galois_label == "A4"
+    assert [e.members for e in d.lattice] == [s.members for s in subgroups(fresh)]
+    assert (searches, built) == (1, 0)
+    iso = are_isomorphic(fresh, census_lookup("A4"))  # public and still checked
+    assert built == 1 and iso.map == census_match(fresh)[1]
