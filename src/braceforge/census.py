@@ -7,7 +7,7 @@ from functools import lru_cache
 
 from .groups import (FiniteGroup, make_abelian, make_alternating4, make_cyclic,
                      make_dicyclic, make_dihedral, make_quaternion8, relabel)
-from .morphisms import invariants_agree, isomorphisms
+from .morphisms import invariants, isomorphisms
 
 CENSUS_MAX_ORDER = 15
 
@@ -77,25 +77,35 @@ def census_lookup(label: str) -> FiniteGroup:
     raise KeyError(f"unknown group label {label!r}; available: {', '.join(census_labels())}")
 
 
+@lru_cache(maxsize=1)
+def _entries_by_invariants() -> dict[tuple, tuple[CensusEntry, ...]]:
+    """Census entries keyed by `morphisms.invariants`, in census order."""
+    index: dict[tuple, tuple[CensusEntry, ...]] = {}
+    for e in _full_census():
+        key = invariants(e.group)
+        index[key] = index.get(key, ()) + (e,)
+    return index
+
+
 @lru_cache(maxsize=None)
 def census_match(g: FiniteGroup) -> tuple[CensusEntry, tuple[int, ...]] | None:
     """The census entry isomorphic to g with the least isomorphism f: g -> entry.group,
     or None above the cap.
 
-    f is the first map `isomorphisms` yields, behind the same invariant
-    prefilter as `are_isomorphic`.  It is returned raw: the Cayley-graph walk
-    that built it has already proved it multiplicative (Lemma 1 of
+    Only the census entries with g's `invariants` are candidates, found by one
+    lookup; the isomorphism search against them is the proof.  f is the
+    first map `isomorphisms` yields.  It is returned raw: the Cayley-graph
+    walk that built it has already proved it multiplicative (Lemma 1 of
     `morphisms`), so no `Isomorphism` re-check runs.  Callers that need more
     than the label use f to carry structure over from the representative,
     which is computed once per census entry instead of once per group.
     """
     if g.order > CENSUS_MAX_ORDER:
         return None
-    for e in _full_census():
-        if invariants_agree(g, e.group):
-            f = next(isomorphisms(g, e.group), None)
-            if f is not None:
-                return e, f
+    for e in _entries_by_invariants().get(invariants(g), ()):
+        f = next(isomorphisms(g, e.group), None)
+        if f is not None:
+            return e, f
     return None
 
 

@@ -20,9 +20,9 @@ from dataclasses import dataclass, replace
 
 from .braces import BraceValidationError, SkewBrace, validate
 from .census import CENSUS_MAX_ORDER, CensusCapError, census, label_or_unknown
-from .groups import FiniteGroup, transport_table
+from .groups import FiniteGroup
 from .morphisms import automorphism_group
-from .perms import Perm, compose, identity_perm, perm_order
+from .perms import Perm, compose, identity_perm, invert, perm_order
 
 Table = tuple[tuple[int, ...], ...]
 
@@ -134,19 +134,35 @@ def reduce_up_to_iso(enum: BraceEnumeration) -> BraceEnumeration:
     Braces over a fixed additive group are isomorphic exactly when an additive
     automorphism transports one circ table onto the other, so the classes are
     the orbits of the automorphism group acting on circ tables by transport.
+
+    A table is indexed by its generator columns t[s][g], for every s and every
+    g in the additive group's `generating_indices`.  They determine it: row a
+    of a compatible table is x -> a . lambda_a(x), and lambda_a is an additive
+    automorphism (Guarnieri-Vendramin 2017, Prop. 1.9), fixed by its values
+    lambda_a(g) = a^-1 . t[a][g] on the generators.  The transport of t along
+    alpha holds alpha(t[s][g]) at (alpha(s), alpha(g)), so its columns are
+    read off t through alpha^-1, at n k entries per (class, automorphism)
+    instead of a whole n x n table.
     """
+    n = enum.additive.order
+    gens = enum.additive.generating_indices
     tables = [b.circ.table for b in enum.operations]
-    index_of = {t: i for i, t in enumerate(tables)}
-    auts = automorphism_group(enum.additive)
+    index_of = {tuple(t[s][g] for s in range(n) for g in gens): i
+                for i, t in enumerate(tables)}
+    walks = []  # (alpha, alpha^-1 of each row, alpha^-1 of each generator)
+    for alpha in automorphism_group(enum.additive):
+        inv = invert(alpha)
+        walks.append((alpha, inv, [inv[g] for g in gens]))
     seen = [False] * len(tables)
     classes: list[tuple[int, ...]] = []  # each opens at its least index, so sorted
     for i, t in enumerate(tables):
         if seen[i]:
             continue
         orbit = set()
-        for alpha in auts:
-            j = index_of.get(transport_table(t, alpha))
-            if j is None:  # pragma: no cover - internal fault
+        for alpha, rows, cols in walks:
+            j = index_of.get(tuple(alpha[row[c]] for row in map(t.__getitem__, rows)
+                                   for c in cols))
+            if j is None:
                 raise RuntimeError("transport of an operation left the enumeration")
             orbit.add(j)
             seen[j] = True

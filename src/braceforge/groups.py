@@ -142,9 +142,14 @@ class FiniteGroup:
 
     @cached_property
     def center(self) -> tuple[int, ...]:
+        """Elements commuting with every generator, which is O(n k).
+
+        That is the center: the centralizer of a is a subgroup, so it holds
+        every element once it holds a generating set.
+        """
         t = self.table
-        n = self.order
-        return tuple(a for a in range(n) if all(t[a][b] == t[b][a] for b in range(n)))
+        gens = self.generating_indices
+        return tuple(a for a, row in enumerate(t) if all(row[g] == t[g][a] for g in gens))
 
     def opposite(self) -> "FiniteGroup":
         """Same elements with reversed multiplication (inverses are unchanged)."""

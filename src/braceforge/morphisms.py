@@ -98,10 +98,13 @@ class Isomorphism:
                     raise ValueError(f"map is not multiplicative at ({a}, {b})")
 
 
-def invariants_agree(a: FiniteGroup, b: FiniteGroup) -> bool:
+def invariants(g: FiniteGroup) -> tuple[int, tuple[int, ...], int]:
     """Cheap isomorphism invariants: order, element-order multiset, center size."""
-    return (a.order == b.order and sorted(a.element_orders) == sorted(b.element_orders)
-            and len(a.center) == len(b.center))
+    return g.order, tuple(sorted(g.element_orders)), len(g.center)
+
+
+def invariants_agree(a: FiniteGroup, b: FiniteGroup) -> bool:
+    return a.order == b.order and invariants(a) == invariants(b)
 
 
 def are_isomorphic(a: FiniteGroup, b: FiniteGroup) -> Isomorphism | None:

@@ -13,7 +13,8 @@ from typing import Iterable
 from braceforge.braces import (BraceRelationError, BraceValidationError, SkewBrace,
                                brace_isomorphic, gamma, left_ideal_status, validate)
 from braceforge.census import CENSUS_MAX_ORDER, CensusCapError, census
-from braceforge.groups import CayleyTableError, FiniteGroup, closure_of, subgroups
+from braceforge.groups import (CayleyTableError, FiniteGroup, closure_of, subgroups,
+                               transport_table)
 from braceforge.morphisms import are_isomorphic, automorphism_group
 from braceforge.report import HGDescriptor, LatticeEntry
 
@@ -113,6 +114,28 @@ def oracle_iso_partition(ops: list[SkewBrace]) -> tuple[tuple[int, ...], ...]:
         else:
             classes.append([i])
     return tuple(sorted(tuple(c) for c in classes))
+
+
+def oracle_orbit_partition(ops: list[SkewBrace]) -> tuple[tuple[int, ...], ...]:
+    """Aut-orbits of circ tables over one additive group, each table carried
+    along every automorphism as a whole n x n table."""
+    tables = [b.circ.table for b in ops]
+    index_of = {t: i for i, t in enumerate(tables)}
+    seen: set[int] = set()
+    classes = []
+    for i, t in enumerate(tables):
+        if i not in seen:
+            orbit = {index_of[transport_table(t, alpha)]
+                     for alpha in automorphism_group(ops[0].dot)}
+            seen |= orbit
+            classes.append(tuple(sorted(orbit)))
+    return tuple(classes)
+
+
+def oracle_center(g: FiniteGroup) -> tuple[int, ...]:
+    """Elements commuting with every element."""
+    t = g.table
+    return tuple(a for a in g.elements() if all(t[a][b] == t[b][a] for b in g.elements()))
 
 
 def oracle_enumerate_circ(additive: FiniteGroup) -> list[Table]:

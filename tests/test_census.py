@@ -7,6 +7,8 @@ so sweeping those constructions and deduplicating must reproduce the census.
 
 from __future__ import annotations
 
+import importlib
+
 import pytest
 
 from braceforge.census import (CENSUS_MAX_ORDER, CensusCapError, EXPECTED_COUNTS,
@@ -15,8 +17,12 @@ from braceforge.census import (CENSUS_MAX_ORDER, CensusCapError, EXPECTED_COUNTS
                                label_or_unknown)
 from braceforge.groups import (FiniteGroup, make_abelian, make_cyclic,
                                make_quaternion8, semidirect_product, transport)
-from braceforge.morphisms import are_isomorphic, automorphism_group
+from braceforge.morphisms import are_isomorphic, automorphism_group, invariants
 from braceforge.perms import identity_perm, perm_order
+
+from oracles import oracle_label
+
+census_module = importlib.import_module("braceforge.census")  # the package exports census()
 
 
 def test_expected_counts_per_order(census15):
@@ -67,11 +73,34 @@ def test_census_label_identifies_up_to_isomorphism():
     assert census_label(make_abelian([2, 4])) == "C4xC2"
 
 
-def test_census_match_is_the_least_checked_isomorphism(census_braces):
-    for g in {b.circ for b in census_braces}:
+def _reversed(g: FiniteGroup) -> FiniteGroup:
+    return transport(g, (0, *range(g.order - 1, 0, -1)), label=f"{g.label}-reversed")
+
+
+def test_census_match_is_the_least_checked_isomorphism(census15, census_braces):
+    groups = {b.circ for b in census_braces}
+    groups |= {_reversed(g) for g in [*groups, *(e.group for e in census15)]}
+    for g in groups:
         entry, f = census_match(g)
-        assert census_label(g) == entry.label
+        assert census_label(g) == entry.label == oracle_label(g)
         assert f == are_isomorphic(g, entry.group).map
+
+
+def test_census_match_searches_only_entries_with_equal_invariants(monkeypatch, census15):
+    searched = []
+    real = census_module.isomorphisms
+
+    def recording(src, dst):
+        searched.append(dst)
+        return real(src, dst)
+    monkeypatch.setattr(census_module, "isomorphisms", recording)
+    for e in census15:
+        g = _reversed(e.group)
+        census_match.cache_clear()
+        entry, _ = census_match(g)
+        assert searched == [entry.group]
+        assert invariants(g) == invariants(entry.group)
+        searched.clear()
 
 
 def test_label_or_unknown_above_cap():

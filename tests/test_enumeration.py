@@ -6,22 +6,24 @@ structural invariants (canonical order, transport equivariance, partitions).
 from __future__ import annotations
 
 from collections import Counter
+from dataclasses import replace
 
 import pytest
 
 from braceforge import enumeration
-from braceforge.braces import almost_trivial, trivial
+from braceforge.braces import almost_trivial, trivial, validate
 from braceforge.census import CensusCapError, census, census_label, census_lookup
-from braceforge.enumeration import (braces_with_mult_group, enumerate_circ,
-                                    mult_type_census, reduce_up_to_iso,
-                                    with_mult_types)
-from braceforge.groups import CayleyTableError, make_cyclic, relabel, transport
+from braceforge.enumeration import (BraceEnumeration, braces_with_mult_group,
+                                    enumerate_circ, mult_type_census,
+                                    reduce_up_to_iso, with_mult_types)
+from braceforge.groups import (CayleyTableError, FiniteGroup, make_abelian, make_cyclic,
+                               relabel, transport)
 from braceforge.morphisms import are_isomorphic, automorphism_group
 
-from oracles import oracle_enumerate_circ, oracle_search_slots
+from oracles import oracle_enumerate_circ, oracle_orbit_partition, oracle_search_slots
 
-# (label, operation count, isomorphism class count); class counts above order
-# 12 omitted because the acceptance gate only needs reductions up to 12
+# (label, operation count, isomorphism class count); summed per order, the
+# class counts 1 1 1 4 1 6 1 47 4 6 1 38 1 6 1 are Guarnieri-Vendramin's
 EXPECTED = {
     "C1": (1, 1), "C2": (1, 1), "C3": (1, 1),
     "C4": (2, 2), "C2xC2": (4, 2),
@@ -35,7 +37,7 @@ EXPECTED = {
     "C11": (1, 1),
     "C12": (6, 5), "C6xC2": (12, 5), "D12": (28, 10),
     "A4": (42, 8), "Dic3": (28, 10),
-    "C13": (1, None), "C14": (2, None), "D14": (16, None), "C15": (1, None),
+    "C13": (1, 1), "C14": (2, 2), "D14": (16, 4), "C15": (1, 1),
 }
 
 EXPECTED_MULT_CENSUS = {
@@ -61,7 +63,7 @@ def test_operation_counts(label):
     assert enumerate_circ(census_lookup(label)).count == EXPECTED[label][0]
 
 
-@pytest.mark.parametrize("label", sorted(k for k, v in EXPECTED.items() if v[1] is not None))
+@pytest.mark.parametrize("label", sorted(EXPECTED))
 def test_iso_class_counts(label):
     enum = reduce_up_to_iso(enumerate_circ(census_lookup(label)))
     assert len(enum.iso_classes) == EXPECTED[label][1]
@@ -154,6 +156,53 @@ def test_iso_classes_partition_and_separate():
     for i, r in enumerate(reps):
         for s in reps[i + 1:]:
             assert brace_isomorphic(ops[r], ops[s]) is None
+
+
+def _generator_columns_are_injective(enum):
+    # the key reduce_up_to_iso indexes tables by
+    n, gens = enum.additive.order, enum.additive.generating_indices
+    keys = {tuple(b.circ.table[s][g] for s in range(n) for g in gens) for b in enum.operations}
+    return len(keys) == enum.count
+
+
+def test_orbit_walk_matches_the_full_table_oracle(census15):
+    for e in census15:
+        enum = enumerate_circ(e.group)
+        assert _generator_columns_are_injective(enum), e.label
+        assert reduce_up_to_iso(enum).iso_classes == oracle_orbit_partition(enum.operations), e.label
+
+
+@pytest.mark.parametrize("label", ["C2xC2xC2", "D12", "A4"])
+def test_orbit_walk_matches_the_oracle_on_transported_groups(label):
+    g = census_lookup(label)
+    f = (0, *range(g.order - 1, 0, -1))
+    moved = transport(g, f, label=f"{label}-reversed")
+    # the moved group's greedy generators are not the images of g's
+    assert set(moved.generating_indices) != {f[x] for x in g.generating_indices}
+    enum = enumerate_circ(moved)
+    assert _generator_columns_are_injective(enum)
+    classes = reduce_up_to_iso(enum).iso_classes
+    assert classes == oracle_orbit_partition(enum.operations)
+    assert len(classes) == EXPECTED[label][1]
+
+
+def test_orbit_walk_matches_the_oracle_above_the_cap():
+    g = make_abelian([4, 4])
+    ops = tuple(validate(g, FiniteGroup.from_table(t))
+                for t in enumeration._regular_subgroup_tables(g))
+    enum = BraceEnumeration(additive=g, operations=ops)
+    assert enum.count == 880 and _generator_columns_are_injective(enum)
+    classes = reduce_up_to_iso(enum).iso_classes
+    assert len(classes) == 83
+    assert classes == oracle_orbit_partition(enum.operations)
+
+
+def test_orbit_walk_refuses_an_enumeration_missing_an_operation():
+    enum = reduce_up_to_iso(enumerate_circ(census_lookup("C2xC2xC2")))
+    dropped = max(enum.iso_classes, key=len)[-1]
+    ops = enum.operations[:dropped] + enum.operations[dropped + 1:]
+    with pytest.raises(RuntimeError, match="left the enumeration"):
+        reduce_up_to_iso(replace(enum, operations=ops, iso_classes=None))
 
 
 def test_enumeration_capped_at_15():

@@ -1,8 +1,8 @@
 import pytest
 
-from oracles import (oracle_closure_of, oracle_element_order, oracle_from_table,
-                     oracle_generating_indices, oracle_layered_subgroups,
-                     oracle_subgroups)
+from oracles import (oracle_center, oracle_closure_of, oracle_element_order,
+                     oracle_from_table, oracle_generating_indices,
+                     oracle_layered_subgroups, oracle_subgroups)
 
 from braceforge import groups
 from braceforge.census import census_lookup
@@ -174,12 +174,13 @@ def test_element_orders_match_oracle(census15):
             assert e.group.element_orders[a] == oracle_element_order(e.group, a)
 
 
-def test_center_is_commuting_set():
-    g = make_dihedral(8)
-    z = set(g.center)
-    for a in range(g.order):
-        commutes = all(g.mul(a, b) == g.mul(b, a) for b in range(g.order))
-        assert (a in z) == commutes
+def test_center_is_commuting_set(census15, census_braces):
+    c2 = make_cyclic(2)
+    extra = [direct_product(make_dihedral(8), c2), direct_product(make_quaternion8(), c2)]
+    circs = {b.circ for b in census_braces}
+    for g in [e.group for e in census15] + list(circs) + extra:
+        assert g.center == oracle_center(g), g.label
+    assert [len(g.center) for g in extra] == [4, 4]
 
 
 def test_opposite_reverses_products():
