@@ -10,8 +10,8 @@ __version__ = "0.1.0"
 
 from .braces import (BraceRelationError, BraceValidationError, GammaFunction,
                      LeftIdealFlag, SkewBrace, almost_trivial, brace_isomorphic,
-                     gamma, is_left_ideal, left_ideal_status, left_ideals,
-                     trivial, validate)
+                     gamma, is_left_ideal, left_ideal_flags, left_ideal_status,
+                     left_ideals, trivial, validate)
 from .census import (CENSUS_MAX_ORDER, CensusCapError, CensusEntry, census,
                      census_label, census_labels, census_lookup, census_match,
                      label_or_unknown)
@@ -23,8 +23,8 @@ from .constructions import (brace_order4_nontrivial, example_c2cubed,
 from .enumeration import (BraceEnumeration, braces_with_mult_group,
                           enumerate_circ, mult_type_census, reduce_up_to_iso,
                           with_mult_types)
-from .groups import (CayleyTableError, FiniteGroup, Subgroup, direct_product,
-                     make_abelian, make_alternating4, make_cyclic,
+from .groups import (CayleyTableError, FiniteGroup, Subgroup, cyclic_subgroups,
+                     direct_product, make_abelian, make_alternating4, make_cyclic,
                      make_dicyclic, make_dihedral, make_quaternion8,
                      semidirect_product, subgroups)
 from .morphisms import are_isomorphic, automorphism_group, characteristic_subgroups
@@ -35,8 +35,8 @@ __all__ = [
     "__version__",
     "BraceRelationError", "BraceValidationError", "GammaFunction",
     "LeftIdealFlag", "SkewBrace", "almost_trivial", "brace_isomorphic",
-    "gamma", "is_left_ideal", "left_ideal_status", "left_ideals", "trivial",
-    "validate",
+    "gamma", "is_left_ideal", "left_ideal_flags", "left_ideal_status",
+    "left_ideals", "trivial", "validate",
     "CENSUS_MAX_ORDER", "CensusCapError", "CensusEntry", "census",
     "census_label", "census_labels", "census_lookup", "census_match",
     "label_or_unknown",
@@ -46,7 +46,7 @@ __all__ = [
     "example_p_odd", "example_pq", "example_q8", "least_kappa",
     "BraceEnumeration", "braces_with_mult_group", "enumerate_circ",
     "mult_type_census", "reduce_up_to_iso", "with_mult_types",
-    "CayleyTableError", "FiniteGroup", "Subgroup", "direct_product",
+    "CayleyTableError", "FiniteGroup", "Subgroup", "cyclic_subgroups", "direct_product",
     "make_abelian", "make_alternating4", "make_cyclic", "make_dicyclic",
     "make_dihedral", "make_quaternion8", "semidirect_product", "subgroups",
     "are_isomorphic", "automorphism_group", "characteristic_subgroups",

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from .groups import FiniteGroup, Subgroup, subgroups
 from .morphisms import isomorphisms
@@ -175,9 +175,49 @@ def is_left_ideal(b: SkewBrace, s: Subgroup) -> LeftIdealFlag:
     return flag
 
 
+@lru_cache(maxsize=1)
+def gamma_reach(b: SkewBrace) -> tuple[int, ...]:
+    """reach[x] is the bitmask of {gamma_a(x) : a}.
+
+    A descriptor reads it twice, for its orbits and for its flags; one entry
+    is kept, so nothing stays alive past the brace being described.
+    """
+    reach = [0] * b.order
+    for m in gamma(b).maps:
+        for x, y in enumerate(m):
+            reach[x] |= 1 << y
+    return tuple(reach)
+
+
+def left_ideal_flags(b: SkewBrace, lattice: Iterable[tuple[int, ...]]) -> Iterator[LeftIdealFlag]:
+    """One flag per sorted member tuple, each a dot-subgroup or a circ-subgroup.
+
+    Mask test.  a -> gamma_a is a homomorphism from circ to Aut(dot), and
+    a . b = a o gamma_a'(b) with a' the circ-inverse of a
+    (Guarnieri-Vendramin 2017, Prop. 1.9).  So a gamma-invariant
+    circ-subgroup is dot-closed, and a gamma-invariant dot-subgroup is a left
+    ideal by definition: either way, a node is a left ideal exactly when it
+    is gamma-invariant.  With reach[x] the bitmask of {gamma_a(x) : a}, that
+    holds exactly when the OR of reach[x] over the members is the node's own
+    mask (it holds that mask, since gamma_0 is the identity).  Only a node
+    that fails runs the exact `left_ideal_status` scan, which names its
+    failing pair and failure kind.
+    """
+    reach = gamma_reach(b)
+    for ms in lattice:
+        mask = closure = 0
+        for x in ms:
+            mask |= 1 << x
+            closure |= reach[x]
+        yield (LeftIdealFlag(members=ms, is_left_ideal=True) if closure == mask
+               else left_ideal_status(b, ms))
+
+
 def left_ideals(b: SkewBrace) -> list[Subgroup]:
     """Dot-subgroups stable under every gamma map, in canonical (size, members) order."""
-    return [s for s in subgroups(b.dot) if is_left_ideal(b, s).is_left_ideal]
+    subs = subgroups(b.dot)
+    flags = left_ideal_flags(b, (s.members for s in subs))
+    return [s for s, flag in zip(subs, flags) if flag.is_left_ideal]
 
 
 def brace_isomorphic(x: SkewBrace, y: SkewBrace) -> tuple[int, ...] | None:

@@ -12,10 +12,10 @@ import os
 from dataclasses import dataclass
 from typing import Iterable
 
-from .braces import SkewBrace, gamma, left_ideal_status, validate
+from .braces import SkewBrace, gamma, left_ideal_flags, left_ideal_status, validate
 from .census import CENSUS_MAX_ORDER, CensusCapError, census
 from .enumeration import enumerate_circ
-from .groups import FiniteGroup, Subgroup, direct_product, subgroups
+from .groups import FiniteGroup, Subgroup, cyclic_subgroups, direct_product, subgroups
 from .morphisms import characteristic_subgroups
 
 
@@ -74,8 +74,19 @@ def replay_witness(w: Witness) -> None:
 
 
 def first_failure(b: SkewBrace) -> Witness | None:
-    for s in subgroups(b.circ):
-        flag = left_ideal_status(b, s.members)
+    """The first circ-subgroup in (size, members) order that is not a left
+    ideal, with its first failing pair; None when every one is.
+
+    Only the cyclic circ-subgroups are scanned, and that gives the same
+    witness as the whole lattice.  A circ-subgroup is a left ideal exactly
+    when it is gamma-invariant (see `braces.left_ideal_flags`), and
+    invariance survives unions.  Every circ-subgroup S is the union of its
+    cyclic circ-subgroups, so if S fails, one of them fails too.  That one
+    sorts no later than S: it is smaller, or equal to S.  So the first
+    failing circ-subgroup is cyclic, and its exact scan is the one the
+    whole lattice would have run.
+    """
+    for flag in left_ideal_flags(b, (s.members for s in cyclic_subgroups(b.circ))):
         if not flag.is_left_ideal:
             return Witness(brace=b, subgroup=flag.members,
                            failing=flag.failing_pair, kind=flag.failure_kind)

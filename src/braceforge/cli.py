@@ -38,6 +38,8 @@ def _load_json_file(path: str):
         raw = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise UsageError(f"cannot read {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise UsageError(f"{path} is not valid JSON: {exc}") from exc
     try:
         return json.loads(raw)
     except (json.JSONDecodeError, RecursionError) as exc:

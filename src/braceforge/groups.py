@@ -366,6 +366,31 @@ class Subgroup:
         return len(self.members)
 
 
+def _cyclic_generators(g: FiniteGroup) -> dict[frozenset[int], int]:
+    """Each distinct nontrivial cyclic subgroup, as the powers of an element,
+    mapped to its least generator."""
+    t = g.table
+    out: dict[frozenset[int], int] = {}
+    for a in range(1, g.order):
+        powers = {a}
+        x = t[a][a]
+        while x != a:
+            powers.add(x)
+            x = t[x][a]
+        out.setdefault(frozenset(powers), a)
+    return out
+
+
+def _ordered(g: FiniteGroup, sets: Iterable[Iterable[int]]) -> list[Subgroup]:
+    ordered = sorted((tuple(sorted(m)) for m in sets), key=lambda m: (len(m), m))
+    return [Subgroup(parent=g, members=m) for m in ordered]
+
+
+def cyclic_subgroups(g: FiniteGroup) -> list[Subgroup]:
+    """The cyclic subgroups, the trivial one included, in (size, members) order."""
+    return _ordered(g, [(0,), *_cyclic_generators(g)])
+
+
 def subgroups(g: FiniteGroup) -> list[Subgroup]:
     """All subgroups in (size, members) order, built as joins of cyclic subgroups.
 
@@ -382,18 +407,7 @@ def subgroups(g: FiniteGroup) -> list[Subgroup]:
     doubles the order, so a subgroup carries at most log2 |H| generators.
     """
     t = g.table
-    cyclic: list[int] = []
-    seen: set[frozenset[int]] = set()
-    for a in range(1, g.order):
-        powers = {a}
-        x = t[a][a]
-        while x != a:
-            powers.add(x)
-            x = t[x][a]
-        key = frozenset(powers)
-        if key not in seen:
-            seen.add(key)
-            cyclic.append(a)
+    cyclic = list(_cyclic_generators(g).values())
     trivial = frozenset((0,))
     found = {trivial}
     frontier: list[tuple[frozenset[int], tuple[int, ...]]] = [(trivial, ())]
@@ -410,8 +424,7 @@ def subgroups(g: FiniteGroup) -> list[Subgroup]:
             if key not in found:
                 found.add(key)
                 frontier.append((key, grown))
-    ordered = sorted((tuple(sorted(m)) for m in found), key=lambda m: (len(m), m))
-    return [Subgroup(parent=g, members=m) for m in ordered]
+    return _ordered(g, found)
 
 
 def is_normal(g: FiniteGroup, s: Subgroup) -> bool:

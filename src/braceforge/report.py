@@ -1,10 +1,9 @@
 """Descriptors summarizing what a skew brace means for its subgroup correspondence.
 
 The descriptor records both isomorphism type labels, the orbits of the gamma
-maps, and the full circ-subgroup lattice with a left-ideal flag per node; the
-correspondence is bijective exactly when every node is flagged.
-
-Three facts keep it cheap.
+maps, and the full circ-subgroup lattice with a left-ideal flag per node,
+decided by `braces.left_ideal_flags`; the correspondence is bijective exactly
+when every node is flagged.
 
 Transport.  An isomorphism maps subgroups bijectively onto subgroups.  So
 when `census_match` gives the census entry of the circ group with the least
@@ -12,18 +11,10 @@ isomorphism f onto it, the representative's lattice, computed once per
 entry, carried back along f^-1 and re-sorted by (size, members) is exactly
 `subgroups(circ)`.
 
-Mask test.  a -> gamma_a is a homomorphism from circ to Aut(dot)
-(Guarnieri-Vendramin 2017, Prop. 1.9), and a . b = a o gamma_a'(b) with a'
-the circ-inverse of a.  So a circ-subgroup S with gamma_a(S) in S for every
-a is dot-closed, and by definition a left ideal.  With reach[x] the bitmask
-of {gamma_a(x) : a}, S is gamma-invariant exactly when the OR of reach[x]
-over x in S is S's own mask (it holds S's mask, since gamma_0 is the
-identity).  Only the other nodes run the exact
-`left_ideal_status` scan, which names their failing pair and failure kind.
-
 Orbits.  The maps gamma_a are the image of a homomorphism from a finite
 group, so they are closed under composition, and the orbit of x under the
-group they generate is the single image set {gamma_a(x) : a}: reach[x].
+group they generate is the single image set {gamma_a(x) : a}:
+`braces.gamma_reach(b)[x]`.
 """
 
 from __future__ import annotations
@@ -32,18 +23,12 @@ import hashlib
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .braces import SkewBrace, gamma, left_ideal_status
+from .braces import LeftIdealFlag, SkewBrace, gamma_reach, left_ideal_flags
 from .census import CensusEntry, census_match, label_or_unknown
 from .groups import FiniteGroup, subgroups
 from .perms import invert
 
-
-@dataclass(frozen=True)
-class LatticeEntry:
-    members: tuple[int, ...]
-    is_left_ideal: bool
-    failing_pair: tuple[int, int] | None
-    failure_kind: str | None
+LatticeEntry = LeftIdealFlag  # one lattice node of a descriptor
 
 
 @dataclass(frozen=True)
@@ -57,29 +42,17 @@ class HGDescriptor:
     canonical_nonclassical: bool
 
 
-def _reach(b: SkewBrace) -> list[int]:
-    """reach[x] is the bitmask of {gamma_a(x) : a}."""
-    reach = [0] * b.order
-    for m in gamma(b).maps:
-        for x, y in enumerate(m):
-            reach[x] |= 1 << y
-    return reach
-
-
-def _orbits(reach: list[int]) -> tuple[tuple[int, ...], ...]:
-    """The distinct masks as member tuples; each first appears at its least member."""
+def gamma_orbits(b: SkewBrace) -> tuple[tuple[int, ...], ...]:
+    """Orbits of the group generated by all gamma maps, sorted by least member:
+    the distinct reach masks as member tuples, each first met at its least
+    member (Orbits)."""
     seen: set[int] = set()
     orbits = []
-    for mask in reach:
+    for mask in gamma_reach(b):
         if mask not in seen:
             seen.add(mask)
-            orbits.append(tuple(x for x in range(len(reach)) if mask >> x & 1))
+            orbits.append(tuple(x for x in range(b.order) if mask >> x & 1))
     return tuple(orbits)
-
-
-def gamma_orbits(b: SkewBrace) -> tuple[tuple[int, ...], ...]:
-    """Orbits of the group generated by all gamma maps, sorted by least member."""
-    return _orbits(_reach(b))
 
 
 @lru_cache(maxsize=None)
@@ -101,27 +74,12 @@ def _lattice(g: FiniteGroup) -> list[tuple[int, ...]]:
 
 
 def hg_descriptor(b: SkewBrace) -> HGDescriptor:
-    reach = _reach(b)
-    entries = []
-    for ms in _lattice(b.circ):
-        mask = closure = 0
-        for x in ms:
-            mask |= 1 << x
-            closure |= reach[x]
-        if closure == mask:
-            entries.append(LatticeEntry(members=ms, is_left_ideal=True,
-                                        failing_pair=None, failure_kind=None))
-            continue
-        flag = left_ideal_status(b, ms)
-        entries.append(LatticeEntry(members=flag.members,
-                                    is_left_ideal=flag.is_left_ideal,
-                                    failing_pair=flag.failing_pair,
-                                    failure_kind=flag.failure_kind))
+    entries = tuple(left_ideal_flags(b, _lattice(b.circ)))
     return HGDescriptor(
         type_label=label_or_unknown(b.dot),
         galois_label=label_or_unknown(b.circ),
-        gamma_orbits=_orbits(reach),
-        lattice=tuple(entries),
+        gamma_orbits=gamma_orbits(b),
+        lattice=entries,
         bijective=all(e.is_left_ideal for e in entries),
         classical=b.is_trivial,
         canonical_nonclassical=b.is_almost_trivial,

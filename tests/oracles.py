@@ -13,10 +13,11 @@ from typing import Iterable
 from braceforge.braces import (BraceRelationError, BraceValidationError, SkewBrace,
                                brace_isomorphic, gamma, left_ideal_status, validate)
 from braceforge.census import CENSUS_MAX_ORDER, CensusCapError, census
+from braceforge.classify import Witness
 from braceforge.groups import (CayleyTableError, FiniteGroup, closure_of, subgroups,
                                transport_table)
 from braceforge.morphisms import are_isomorphic, automorphism_group
-from braceforge.report import HGDescriptor, LatticeEntry
+from braceforge.report import HGDescriptor
 
 ORACLE_MAX_ORDER = 6
 
@@ -344,13 +345,19 @@ def oracle_gamma_orbits(b: SkewBrace) -> tuple[tuple[int, ...], ...]:
 def oracle_hg_descriptor(b: SkewBrace) -> HGDescriptor:
     """The descriptor from the circ group's own lattice, the exact left-ideal
     scan on every node, and breadth-first gamma orbits."""
-    entries = []
-    for s in subgroups(b.circ):
-        flag = left_ideal_status(b, s.members)
-        entries.append(LatticeEntry(members=flag.members, is_left_ideal=flag.is_left_ideal,
-                                    failing_pair=flag.failing_pair,
-                                    failure_kind=flag.failure_kind))
+    entries = [left_ideal_status(b, s.members) for s in subgroups(b.circ)]
     return HGDescriptor(type_label=oracle_label(b.dot), galois_label=oracle_label(b.circ),
                         gamma_orbits=oracle_gamma_orbits(b), lattice=tuple(entries),
                         bijective=all(e.is_left_ideal for e in entries),
                         classical=b.is_trivial, canonical_nonclassical=b.is_almost_trivial)
+
+
+def oracle_first_failure(b: SkewBrace) -> Witness | None:
+    """The exact left-ideal scan over the whole circ lattice, in (size,
+    members) order, stopping at the first circ-subgroup that fails."""
+    for s in subgroups(b.circ):
+        flag = left_ideal_status(b, s.members)
+        if not flag.is_left_ideal:
+            return Witness(brace=b, subgroup=flag.members,
+                           failing=flag.failing_pair, kind=flag.failure_kind)
+    return None

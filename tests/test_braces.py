@@ -6,7 +6,8 @@ import pytest
 
 from braceforge.braces import (BraceRelationError, BraceValidationError, SkewBrace,
                                almost_trivial, brace_isomorphic, gamma, is_left_ideal,
-                               left_ideal_status, left_ideals, trivial, validate)
+                               left_ideal_flags, left_ideal_status, left_ideals,
+                               trivial, validate)
 from braceforge.census import census, census_lookup
 from braceforge.groups import is_normal, make_cyclic, subgroups, transport
 from braceforge.perms import identity_perm
@@ -121,6 +122,14 @@ def test_left_ideals_of_almost_trivial_are_normal_subgroups(census15):
         b = almost_trivial(e.group)
         expected = [s for s in subgroups(e.group) if is_normal(e.group, s)]
         assert left_ideals(b) == expected
+
+
+def test_left_ideal_flags_match_the_exact_scan(census_braces):
+    for b in census_braces:
+        for g in (b.dot, b.circ):
+            lattice = [s.members for s in subgroups(g)]
+            exact = [left_ideal_status(b, ms) for ms in lattice]
+            assert list(left_ideal_flags(b, lattice)) == exact, b.label
 
 
 def test_is_left_ideal_rejects_foreign_subgroup():

@@ -7,17 +7,20 @@ from dataclasses import replace
 
 import pytest
 
-from braceforge.braces import left_ideals
+from oracles import oracle_first_failure
+
+from braceforge import braces, enumeration
+from braceforge.braces import almost_trivial, left_ideals, trivial, validate
 from braceforge.census import CensusCapError, census_label, census_labels, census_lookup
-from braceforge.classify import (c_group_check, direct_factor_witness,
+from braceforge.classify import (c_group_check, direct_factor_witness, first_failure,
                                  heuristic_characteristic_count,
                                  heuristic_subgroup_containment,
                                  heuristic_subgroup_count, is_good,
                                  theorem_predicate, verify_theorem, verify_witness)
 from braceforge.constructions import example_p_odd, example_pq, example_q8
 from braceforge.enumeration import enumerate_circ
-from braceforge.groups import make_abelian, make_cyclic, subgroups
-from braceforge.braces import trivial
+from braceforge.groups import (FiniteGroup, direct_product, make_abelian, make_cyclic,
+                               make_dihedral, make_quaternion8, subgroups)
 
 GOOD_LABELS = ["C1", "C2", "C3", "C2xC2", "C5", "C7", "C9", "C11", "C13", "C15"]
 
@@ -73,6 +76,54 @@ def test_exhaustive_mode_scans_every_operation(monkeypatch):
     v = is_good(g, exhaustive=True)
     assert len(calls) == v.braces_examined == enumerate_circ(g).count == 232
     assert not v.good and v.exhaustive
+
+
+@pytest.fixture(scope="module")
+def c4xc4_braces():
+    """The 880 compatible operations on C4xC4, above the census cap."""
+    g = make_abelian([4, 4])
+    return [validate(g, FiniteGroup.from_table(t))
+            for t in enumeration._regular_subgroup_tables(g)]
+
+
+ORDER_16_BRACES = [make(direct_product(h, make_cyclic(2)))
+                   for h in (make_dihedral(8), make_quaternion8())
+                   for make in (trivial, almost_trivial)]
+
+
+def test_first_failure_matches_the_whole_lattice_on_every_census_brace(census_braces):
+    assert len(census_braces) == 498
+    for b in census_braces:
+        assert first_failure(b) == oracle_first_failure(b), b.label
+
+
+def test_first_failure_matches_the_whole_lattice_on_c4xc4(c4xc4_braces):
+    assert len(c4xc4_braces) == 880
+    witnesses = [first_failure(b) for b in c4xc4_braces]
+    assert witnesses == [oracle_first_failure(b) for b in c4xc4_braces]
+    assert any(w is None for w in witnesses) and any(w is not None for w in witnesses)
+
+
+@pytest.mark.parametrize("b", ORDER_16_BRACES, ids=lambda b: b.label)
+def test_first_failure_matches_the_whole_lattice_at_order_16(b):
+    assert first_failure(b) == oracle_first_failure(b)
+
+
+def test_first_failure_runs_the_exact_scan_only_on_its_witness(
+        monkeypatch, census_braces, c4xc4_braces):
+    calls = 0
+    status = braces.left_ideal_status
+
+    def counting_status(*args):
+        nonlocal calls
+        calls += 1
+        return status(*args)
+
+    monkeypatch.setattr(braces, "left_ideal_status", counting_status)
+    for b in census_braces + c4xc4_braces:
+        calls = 0
+        bad = first_failure(b) is not None
+        assert calls == bad, b.label
 
 
 def test_verify_witness_rejects_tampering():

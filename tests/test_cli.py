@@ -96,6 +96,17 @@ def test_group_show_rejects_bad_file(capsys, tmp_path):
     assert code == 2 and "missing keys" in err
 
 
+@pytest.mark.parametrize("argv", [("group", "show"), ("brace", "enumerate"),
+                                  ("brace", "check"), ("classify",), ("hg", "report")],
+                         ids=" ".join)
+def test_non_utf8_file_is_a_usage_error(capsys, tmp_path, argv):
+    path = tmp_path / "bad.json"
+    path.write_bytes(b"\xff\xfe{")
+    code, out, err = run(capsys, *argv, str(path))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and "not valid JSON" in err and "Traceback" not in err
+
+
 def test_group_show_rejects_bool_order(capsys, tmp_path):
     # JSON true would otherwise pass as the int 1
     path = tmp_path / "bool.json"

@@ -8,6 +8,7 @@ from braceforge import groups
 from braceforge.census import census_lookup
 from braceforge.enumeration import enumerate_circ
 from braceforge.groups import (CayleyTableError, FiniteGroup, Subgroup, closure_of,
+                               cyclic_subgroups,
                                direct_product, is_normal, make_abelian,
                                make_alternating4, make_cyclic, make_dicyclic,
                                make_dihedral, make_quaternion8, relabel,
@@ -242,6 +243,17 @@ def test_subgroups_match_oracles_at_order_16(name):
     fast = [s.members for s in subgroups(g)]
     assert fast == oracle_layered_subgroups(g)
     assert fast == oracle_subgroups(g)
+
+
+def _cyclic_members_of_the_lattice(g):
+    return [s.members for s in subgroups(g)
+            if s.order in {g.element_orders[m] for m in s.members}]
+
+
+def test_cyclic_subgroups_are_the_cyclic_lattice_members(census15, census_braces):
+    groups16 = [make() for make in ORDER_16.values()]
+    for g in [e.group for e in census15] + [b.circ for b in census_braces] + groups16:
+        assert [s.members for s in cyclic_subgroups(g)] == _cyclic_members_of_the_lattice(g)
 
 
 @pytest.mark.parametrize("label", ["C2xC2xC2", "C12"])

@@ -1,7 +1,8 @@
 """Every name an import binds, in the package and in the tests, is used or exported,
 every private module-level name of the package is used somewhere in it, no
-package module imports another module's private name, and only `jsonio`
-writes JSON.
+package module imports another module's private name, only `jsonio` writes
+JSON, and every package name the benchmark child reads without a fallback
+exists.
 
 The scans are syntactic (ast): an imported name counts as used when it
 appears as a bare name anywhere in the module, in a quoted annotation, or in
@@ -167,3 +168,45 @@ def test_scan_sees_a_json_write():
     tree = ast.parse("import json\nfrom json import dumps as d, loads\n"
                      "def f(x, fh):\n    json.dump(x, fh)\n    return json.loads(d(x))\n")
     assert _json_writes(tree) == ["line 2: from json import dumps", "line 4: json.dump"]
+
+
+CHILD = ROOT / "perfbench" / "child.py"
+
+
+def _attribute_reads(tree: ast.Module, name: str) -> set[str]:
+    """Every attribute read directly off the bare name `name`."""
+    return {node.attr for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+            and node.value.id == name and isinstance(node.ctx, ast.Load)}
+
+
+def _package_modules(tree: ast.Module) -> set[str]:
+    """Names bound by `from braceforge import NAME`."""
+    return {alias.asname or alias.name for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom) and node.module == "braceforge"
+            for alias in node.names}
+
+
+def test_benchmark_child_reads_only_public_names():
+    # the benchmark child reads `bf.NAME` and `module.NAME` without a fallback,
+    # so a name missing here would crash its rounds instead of failing a test
+    import importlib
+
+    import braceforge
+    tree = ast.parse(CHILD.read_text(encoding="utf-8"))
+    reads = _attribute_reads(tree, "bf") | _attribute_reads(tree, "braceforge")
+    assert {"census", "is_good", "hg_descriptor", "verify_witness"} <= reads
+    missing = sorted(reads - set(braceforge.__all__))
+    assert not missing, f"the benchmark child reads names braceforge does not export: {missing}"
+    modules = _package_modules(tree)
+    assert "serialize" in _attribute_reads(tree, "jsonio") and "jsonio" in modules
+    absent = [f"{m}.{attr}" for m in sorted(modules) for attr in sorted(_attribute_reads(tree, m))
+              if not hasattr(importlib.import_module(f"braceforge.{m}"), attr)]
+    assert not absent, f"the benchmark child reads names that do not exist: {absent}"
+
+
+def test_scan_sees_attribute_reads():
+    tree = ast.parse("from braceforge import cli\nbf.x = 1\ny = bf.a(bf.b.c)\n"
+                     "getattr(bf, 'd', None)\ncli.main([])\n")
+    assert _attribute_reads(tree, "bf") == {"a", "b"}
+    assert _package_modules(tree) == {"cli"}
