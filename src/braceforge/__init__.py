@@ -28,8 +28,8 @@ from .groups import (CayleyTableError, FiniteGroup, Subgroup, cyclic_subgroups,
                      make_dicyclic, make_dihedral, make_quaternion8,
                      semidirect_product, subgroups)
 from .morphisms import are_isomorphic, automorphism_group, characteristic_subgroups
-from .report import (HGDescriptor, LatticeEntry, ReportBundle, brace_digest,
-                     gamma_orbits, hg_descriptor, render_dot, report_bundle)
+from .report import (HGDescriptor, ReportBundle, brace_digest, gamma_orbits,
+                     hg_descriptor, render_dot, report_bundle)
 
 __all__ = [
     "__version__",
@@ -50,6 +50,6 @@ __all__ = [
     "make_abelian", "make_alternating4", "make_cyclic", "make_dicyclic",
     "make_dihedral", "make_quaternion8", "semidirect_product", "subgroups",
     "are_isomorphic", "automorphism_group", "characteristic_subgroups",
-    "HGDescriptor", "LatticeEntry", "ReportBundle", "brace_digest",
+    "HGDescriptor", "ReportBundle", "brace_digest",
     "gamma_orbits", "hg_descriptor", "render_dot", "report_bundle",
 ]

@@ -129,12 +129,15 @@ def gamma(b: SkewBrace) -> GammaFunction:
     return GammaFunction(brace=b, maps=maps)
 
 
+FAILURE_KINDS = ("dot-closure", "gamma")
+
+
 @dataclass(frozen=True)
 class LeftIdealFlag:
     members: tuple[int, ...]
     is_left_ideal: bool
     failing_pair: tuple[int, int] | None = None
-    failure_kind: str | None = None  # "dot-closure" | "gamma"
+    failure_kind: str | None = None  # one of FAILURE_KINDS
 
 
 def left_ideal_status(b: SkewBrace, members: Iterable[int]) -> LeftIdealFlag:

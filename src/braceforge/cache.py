@@ -5,18 +5,17 @@ table, and the scan mode, so a changed table or a new release simply misses
 instead of serving stale data.  Writes go through a temp file and an atomic
 rename.
 
-Nothing read back is taken on faith: entries decode through the validating
-parser that reads user input.  Only bad verdicts are stored, and one is used
-only after its witness replays; a good verdict has no witness, so it is
-always recomputed.  An entry that fails any check is recomputed with a
-warning.  Enumerations are not cached: validating a stored one costs about
-as much as recomputing it.
+Nothing read back is taken on faith: entries go through the one JSON
+decoder and the validating parser that read user input.  Only bad verdicts
+are stored, and one is used only after its witness replays; a good verdict
+has no witness, so it is always recomputed.  An entry that fails any check
+is recomputed with a warning.  Enumerations are not cached: validating a
+stored one costs about as much as recomputing it.
 """
 
 from __future__ import annotations
 
 import hashlib
-import json
 import os
 import tempfile
 import warnings
@@ -25,6 +24,7 @@ from pathlib import Path
 from . import __version__
 from .classify import Verdict, replay_witness
 from .groups import FiniteGroup
+from .jsonio import canonical_bytes, loads, verdict_from_obj, verdict_to_obj
 
 DEFAULT_CACHE_DIR = ".braceforge-cache"
 CACHE_DIR_ENV = "BRACEFORGE_CACHE_DIR"
@@ -69,19 +69,13 @@ def _load_payload(path: Path, key: str):
     except FileNotFoundError:
         return None
     try:
-        obj = json.loads(raw.decode("utf-8"))
+        obj = loads(raw)
         if not isinstance(obj, dict) or obj.get("key") != key:
             raise ValueError("key mismatch")
         return obj["payload"]
-    except (ValueError, KeyError, UnicodeDecodeError, RecursionError) as exc:
+    except (ValueError, KeyError) as exc:  # SchemaError is a ValueError
         _corrupt(path, exc)
         return None
-
-
-def _store_payload(path: Path, key: str, payload) -> None:
-    from .jsonio import canonical_bytes
-
-    _atomic_write(path, canonical_bytes({"key": key, "payload": payload}))
 
 
 def _verdict_entry(group: FiniteGroup, exhaustive: bool, cache_dir) -> tuple[Path, str]:
@@ -95,8 +89,6 @@ def _verdict_entry(group: FiniteGroup, exhaustive: bool, cache_dir) -> tuple[Pat
 def cached_verdict(group: FiniteGroup, exhaustive: bool,
                    cache_dir: str | os.PathLike | None = None) -> Verdict | None:
     """A stored bad verdict whose witness replays on this group, or None."""
-    from .jsonio import verdict_from_obj
-
     path, key = _verdict_entry(group, exhaustive, cache_dir)
     payload = _load_payload(path, key)
     if payload is None:
@@ -104,7 +96,7 @@ def cached_verdict(group: FiniteGroup, exhaustive: bool,
     try:
         v = verdict_from_obj(payload, dot=group)  # the witness must sit on group's table
         if (v.good or v.witness is None or v.group_label != group.label
-                or v.exhaustive != exhaustive):
+                or v.exhaustive != exhaustive or v.braces_examined < 1):
             raise ValueError("not a bad verdict with a witness for this group and mode")
         replay_witness(v.witness)  # the parser has already validated the brace
     except ValueError as exc:  # SchemaError, CayleyTableError, BraceValidationError, replay
@@ -116,9 +108,7 @@ def cached_verdict(group: FiniteGroup, exhaustive: bool,
 def store_verdict(group: FiniteGroup, exhaustive: bool, verdict: Verdict,
                   cache_dir: str | os.PathLike | None = None) -> None:
     """Store a bad verdict; a good one has no witness to replay and is not kept."""
-    from .jsonio import verdict_to_obj
-
     if verdict.witness is None:
         return
     path, key = _verdict_entry(group, exhaustive, cache_dir)
-    _store_payload(path, key, verdict_to_obj(verdict))
+    _atomic_write(path, canonical_bytes({"key": key, "payload": verdict_to_obj(verdict)}))

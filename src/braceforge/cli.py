@@ -9,7 +9,6 @@ was written.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 from pathlib import Path
@@ -24,7 +23,7 @@ from .constructions import (brace_order4_nontrivial, example_c2cubed, example_cn
 from .enumeration import enumerate_circ, mult_type_census, reduce_up_to_iso, with_mult_types
 from .groups import CayleyTableError, FiniteGroup, subgroups
 from .jsonio import (SchemaError, brace_from_obj, brace_to_obj, canonical_dumps,
-                     enumeration_to_obj, group_from_obj, group_to_obj, serialize,
+                     enumeration_to_obj, group_from_obj, group_to_obj, loads, serialize,
                      theorem_report_to_obj, verdict_to_obj)
 from .report import render_dot, report_bundle
 
@@ -35,15 +34,13 @@ class UsageError(Exception):
 
 def _load_json_file(path: str):
     try:
-        raw = Path(path).read_text(encoding="utf-8")
+        raw = Path(path).read_bytes()
     except OSError as exc:
         raise UsageError(f"cannot read {path}: {exc}") from exc
-    except UnicodeDecodeError as exc:
-        raise UsageError(f"{path} is not valid JSON: {exc}") from exc
     try:
-        return json.loads(raw)
-    except (json.JSONDecodeError, RecursionError) as exc:
-        raise UsageError(f"{path} is not valid JSON: {exc}") from exc
+        return loads(raw)
+    except SchemaError as exc:
+        raise UsageError(f"{path} is not valid JSON: {exc.__cause__}") from exc
 
 
 def _resolve_group(target: str) -> FiniteGroup:

@@ -59,7 +59,7 @@ class FiniteGroup:
                 if len(row) != n:
                     raise CayleyTableError(f"row {a} has length {len(row)}, expected {n}")
                 for b, v in enumerate(row):
-                    if not isinstance(v, int) or not 0 <= v < n:
+                    if type(v) is not int or not 0 <= v < n:
                         raise CayleyTableError(
                             f"entry table[{a}][{b}] = {v!r} out of range 0..{n - 1}")
         ident = tuple(range(n))

@@ -1,13 +1,14 @@
 """Canonical JSON layouts for groups, braces, enumerations, verdicts, and reports.
 
-Serialization is deterministic (sorted keys, fixed indentation) so equal
-objects always produce identical bytes; `canonical_dumps` is the one writer.
-Parsing validates shape with JSON-path context in every error, then runs the
-full mathematical validation (FiniteGroup.from_table and braces.validate) on
-every table, except a dot table the caller already trusts.  Groups, braces,
-verdicts and report bundles are parsed; an enumeration is only written, as
-the output of `brace enumerate`.  There is one decode path: user files and
-cache entries are parsed alike.
+This module is the JSON trust boundary.  `canonical_dumps` is the one writer:
+sorted keys and fixed indentation, so equal objects give identical bytes.
+`loads` is the one decoder: strict UTF-8, then JSON, any failure a
+`SchemaError`.  Parsing checks each field shape in one place, with the JSON
+path in every error, then runs the full mathematical validation
+(FiniteGroup.from_table and braces.validate) on every table, except a dot
+table the caller already trusts.  Groups, braces, verdicts and report
+bundles are parsed, user files and cache entries alike; an enumeration is
+only written, as the output of `brace enumerate`.
 """
 
 from __future__ import annotations
@@ -15,11 +16,11 @@ from __future__ import annotations
 import json
 from typing import Any
 
-from .braces import SkewBrace, validate
+from .braces import FAILURE_KINDS, LeftIdealFlag, SkewBrace, validate
 from .classify import TheoremReport, Verdict, Witness
 from .enumeration import BraceEnumeration
 from .groups import FiniteGroup
-from .report import HGDescriptor, LatticeEntry, ReportBundle
+from .report import HGDescriptor, ReportBundle
 
 
 class SchemaError(ValueError):
@@ -107,6 +108,15 @@ def canonical_bytes(obj: Any) -> bytes:
     return canonical_dumps(obj).encode("utf-8")
 
 
+def loads(data: bytes, path: str = "$") -> Any:
+    """Strict UTF-8, then JSON.  Every failure, a ValueError (bad UTF-8 or JSON, an
+    int literal past Python's digit limit) or a RecursionError, is a SchemaError."""
+    try:
+        return json.loads(data.decode("utf-8"))
+    except (ValueError, RecursionError) as exc:
+        raise SchemaError(path, f"not valid JSON: {exc}") from exc
+
+
 def _expect_dict(obj: Any, path: str, keys: set[str]) -> dict:
     if not isinstance(obj, dict):
         raise SchemaError(path, f"expected an object, got {type(obj).__name__}")
@@ -121,6 +131,49 @@ def _expect_dict(obj: Any, path: str, keys: set[str]) -> dict:
 
 def _is_int(v: Any) -> bool:
     return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _is_ints(v: Any) -> bool:
+    return isinstance(v, list) and all(map(_is_int, v))
+
+
+def _expect_ints(v: Any, path: str) -> tuple[int, ...]:
+    if not _is_ints(v):
+        raise SchemaError(path, "expected a list of ints")
+    return tuple(v)
+
+
+def _expect_pair(v: Any, path: str, nullable: bool = False) -> tuple[int, int] | None:
+    """A failing pair; with `nullable` (a lattice entry), null too."""
+    if nullable and v is None:
+        return None
+    if not _is_ints(v) or len(v) != 2:
+        raise SchemaError(path, "expected null or a pair" if nullable else "expected a pair of ints")
+    return v[0], v[1]
+
+
+def _expect_kind(v: Any, path: str, nullable: bool = False) -> str | None:
+    """One of FAILURE_KINDS; with `nullable` (a lattice entry), null too."""
+    if nullable and v is None:
+        return None
+    if v not in FAILURE_KINDS:
+        null = "null, " if nullable else ""
+        raise SchemaError(path, f"expected {null}" + " or ".join(map(repr, FAILURE_KINDS)))
+    return v
+
+
+def _expect_fields(d: dict, path: str, kind: type, what: str, *keys: str) -> None:
+    for key in keys:
+        if not isinstance(d[key], kind):
+            raise SchemaError(f"{path}.{key}", f"expected {what}")
+
+
+def _expect_header(d: dict, path: str) -> int:
+    """The order, a positive int, and the label of a group or brace object."""
+    if not _is_int(d["order"]) or d["order"] < 1:
+        raise SchemaError(f"{path}.order", "expected a positive int")
+    _expect_fields(d, path, str, "a string", "label")
+    return d["order"]
 
 
 def _expect_table(obj: Any, n: int, path: str) -> list[list[int]]:
@@ -145,11 +198,7 @@ def group_to_obj(g: FiniteGroup) -> dict:
 
 def group_from_obj(obj: Any, path: str = "$") -> FiniteGroup:
     d = _expect_dict(obj, path, {"order", "label", "table"})
-    if not _is_int(d["order"]) or d["order"] < 1:
-        raise SchemaError(f"{path}.order", "expected a positive int")
-    if not isinstance(d["label"], str):
-        raise SchemaError(f"{path}.label", "expected a string")
-    table = _expect_table(d["table"], d["order"], f"{path}.table")
+    table = _expect_table(d["table"], _expect_header(d, path), f"{path}.table")
     return FiniteGroup.from_table(table, label=d["label"])
 
 
@@ -163,12 +212,9 @@ def brace_from_obj(obj: Any, path: str = "$", dot: FiniteGroup | None = None) ->
     """Parse and validate a brace.  Given a trusted `dot` group, the stored dot
     table must equal its table, and the group is reused instead of re-checked."""
     d = _expect_dict(obj, path, {"order", "label", "dot", "circ"})
-    if not _is_int(d["order"]) or d["order"] < 1:
-        raise SchemaError(f"{path}.order", "expected a positive int")
-    if not isinstance(d["label"], str):
-        raise SchemaError(f"{path}.label", "expected a string")
-    dot_rows = _expect_table(d["dot"], d["order"], f"{path}.dot")
-    circ_rows = _expect_table(d["circ"], d["order"], f"{path}.circ")
+    n = _expect_header(d, path)
+    dot_rows = _expect_table(d["dot"], n, f"{path}.dot")
+    circ_rows = _expect_table(d["circ"], n, f"{path}.circ")
     if dot is None:
         dot = FiniteGroup.from_table(dot_rows)
     elif tuple(map(tuple, dot_rows)) != dot.table:
@@ -201,16 +247,10 @@ def witness_to_obj(w: Witness) -> dict:
 
 def witness_from_obj(obj: Any, path: str = "$", dot: FiniteGroup | None = None) -> Witness:
     d = _expect_dict(obj, path, {"brace", "subgroup", "failing", "kind"})
-    brace = brace_from_obj(d["brace"], f"{path}.brace", dot)
-    if not isinstance(d["subgroup"], list) or not all(map(_is_int, d["subgroup"])):
-        raise SchemaError(f"{path}.subgroup", "expected a list of ints")
-    if (not isinstance(d["failing"], list) or len(d["failing"]) != 2
-            or not all(map(_is_int, d["failing"]))):
-        raise SchemaError(f"{path}.failing", "expected a pair of ints")
-    if d["kind"] not in ("dot-closure", "gamma"):
-        raise SchemaError(f"{path}.kind", "expected 'dot-closure' or 'gamma'")
-    return Witness(brace=brace, subgroup=tuple(d["subgroup"]),
-                   failing=(d["failing"][0], d["failing"][1]), kind=d["kind"])
+    return Witness(brace=brace_from_obj(d["brace"], f"{path}.brace", dot),
+                   subgroup=_expect_ints(d["subgroup"], f"{path}.subgroup"),
+                   failing=_expect_pair(d["failing"], f"{path}.failing"),
+                   kind=_expect_kind(d["kind"], f"{path}.kind"))
 
 
 def verdict_to_obj(v: Verdict) -> dict:
@@ -222,13 +262,12 @@ def verdict_to_obj(v: Verdict) -> dict:
 def verdict_from_obj(obj: Any, path: str = "$", dot: FiniteGroup | None = None) -> Verdict:
     """Parse a verdict; `dot`, if given, is the trusted group its witness must sit on."""
     d = _expect_dict(obj, path, {"group", "good", "witness", "braces_examined", "exhaustive"})
-    if not isinstance(d["group"], str):
-        raise SchemaError(f"{path}.group", "expected a string")
-    for key in ("good", "exhaustive"):
-        if not isinstance(d[key], bool):
-            raise SchemaError(f"{path}.{key}", "expected a bool")
+    _expect_fields(d, path, str, "a string", "group")
+    _expect_fields(d, path, bool, "a bool", "good", "exhaustive")
     if not _is_int(d["braces_examined"]):
         raise SchemaError(f"{path}.braces_examined", "expected an int")
+    if d["braces_examined"] < 0:
+        raise SchemaError(f"{path}.braces_examined", "expected a non-negative int")
     witness = (None if d["witness"] is None
                else witness_from_obj(d["witness"], f"{path}.witness", dot))
     return Verdict(group_label=d["group"], good=d["good"], witness=witness,
@@ -264,38 +303,22 @@ def descriptor_to_obj(d: HGDescriptor) -> dict:
 def descriptor_from_obj(obj: Any, path: str = "$") -> HGDescriptor:
     d = _expect_dict(obj, path, {"type_label", "galois_label", "gamma_orbits", "lattice",
                                  "bijective", "classical", "canonical_nonclassical"})
-    for key in ("type_label", "galois_label"):
-        if not isinstance(d[key], str):
-            raise SchemaError(f"{path}.{key}", "expected a string")
-    for key in ("bijective", "classical", "canonical_nonclassical"):
-        if not isinstance(d[key], bool):
-            raise SchemaError(f"{path}.{key}", "expected a bool")
-    if not isinstance(d["gamma_orbits"], list) or not all(
-            isinstance(o, list) and all(map(_is_int, o))
-            for o in d["gamma_orbits"]):
+    _expect_fields(d, path, str, "a string", "type_label", "galois_label")
+    _expect_fields(d, path, bool, "a bool", "bijective", "classical", "canonical_nonclassical")
+    if not isinstance(d["gamma_orbits"], list) or not all(map(_is_ints, d["gamma_orbits"])):
         raise SchemaError(f"{path}.gamma_orbits", "expected a list of int lists")
     if not isinstance(d["lattice"], list):
         raise SchemaError(f"{path}.lattice", "expected a list")
     entries = []
     for i, eo in enumerate(d["lattice"]):
-        ed = _expect_dict(eo, f"{path}.lattice[{i}]",
-                          {"members", "is_left_ideal", "failing_pair", "failure_kind"})
-        if not isinstance(ed["members"], list) or not all(map(_is_int, ed["members"])):
-            raise SchemaError(f"{path}.lattice[{i}].members", "expected a list of ints")
-        if not isinstance(ed["is_left_ideal"], bool):
-            raise SchemaError(f"{path}.lattice[{i}].is_left_ideal", "expected a bool")
-        fp = ed["failing_pair"]
-        if fp is not None and (not isinstance(fp, list) or len(fp) != 2
-                               or not all(map(_is_int, fp))):
-            raise SchemaError(f"{path}.lattice[{i}].failing_pair", "expected null or a pair")
-        fk = ed["failure_kind"]
-        if fk not in (None, "dot-closure", "gamma"):
-            raise SchemaError(f"{path}.lattice[{i}].failure_kind",
-                              "expected null, 'dot-closure' or 'gamma'")
-        entries.append(LatticeEntry(members=tuple(ed["members"]),
-                                    is_left_ideal=ed["is_left_ideal"],
-                                    failing_pair=None if fp is None else (fp[0], fp[1]),
-                                    failure_kind=fk))
+        ep = f"{path}.lattice[{i}]"
+        ed = _expect_dict(eo, ep, {"members", "is_left_ideal", "failing_pair", "failure_kind"})
+        members = _expect_ints(ed["members"], f"{ep}.members")
+        _expect_fields(ed, ep, bool, "a bool", "is_left_ideal")
+        entries.append(LeftIdealFlag(
+            members=members, is_left_ideal=ed["is_left_ideal"],
+            failing_pair=_expect_pair(ed["failing_pair"], f"{ep}.failing_pair", nullable=True),
+            failure_kind=_expect_kind(ed["failure_kind"], f"{ep}.failure_kind", nullable=True)))
     return HGDescriptor(type_label=d["type_label"], galois_label=d["galois_label"],
                         gamma_orbits=tuple(tuple(o) for o in d["gamma_orbits"]),
                         lattice=tuple(entries), bijective=d["bijective"],
@@ -317,18 +340,11 @@ def serialize(bundle: ReportBundle) -> bytes:
 
 
 def parse(data: bytes) -> ReportBundle:
-    try:
-        obj = json.loads(data.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
-        raise SchemaError("$", f"not valid JSON: {exc}") from exc
-    d = _expect_dict(obj, "$", {"schema", "tool_version", "input_sha256",
-                                "timing_ms", "descriptor"})
+    d = _expect_dict(loads(data), "$", {"schema", "tool_version", "input_sha256",
+                                        "timing_ms", "descriptor"})
     if d["schema"] != BUNDLE_SCHEMA:
         raise SchemaError("$.schema", f"expected {BUNDLE_SCHEMA!r}, got {d['schema']!r}")
-    if not isinstance(d["tool_version"], str):
-        raise SchemaError("$.tool_version", "expected a string")
-    if not isinstance(d["input_sha256"], str):
-        raise SchemaError("$.input_sha256", "expected a string")
+    _expect_fields(d, "$", str, "a string", "tool_version", "input_sha256")
     t = d["timing_ms"]
     if t is not None and not isinstance(t, (int, float)):
         raise SchemaError("$.timing_ms", "expected null or a number")

@@ -103,13 +103,9 @@ def invariants(g: FiniteGroup) -> tuple[int, tuple[int, ...], int]:
     return g.order, tuple(sorted(g.element_orders)), len(g.center)
 
 
-def invariants_agree(a: FiniteGroup, b: FiniteGroup) -> bool:
-    return a.order == b.order and invariants(a) == invariants(b)
-
-
 def are_isomorphic(a: FiniteGroup, b: FiniteGroup) -> Isomorphism | None:
-    """The least isomorphism, checked, or None.  `invariants_agree` prunes most mismatches."""
-    if not invariants_agree(a, b):
+    """The least isomorphism, checked, or None.  Unequal `invariants` prune most mismatches."""
+    if invariants(a) != invariants(b):
         return None
     f = next(isomorphisms(a, b), None)
     return None if f is None else Isomorphism(source=a, target=b, map=f)

@@ -28,15 +28,13 @@ from .census import CensusEntry, census_match, label_or_unknown
 from .groups import FiniteGroup, subgroups
 from .perms import invert
 
-LatticeEntry = LeftIdealFlag  # one lattice node of a descriptor
-
 
 @dataclass(frozen=True)
 class HGDescriptor:
     type_label: str
     galois_label: str
     gamma_orbits: tuple[tuple[int, ...], ...]
-    lattice: tuple[LatticeEntry, ...]
+    lattice: tuple[LeftIdealFlag, ...]
     bijective: bool
     classical: bool
     canonical_nonclassical: bool

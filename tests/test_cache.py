@@ -150,6 +150,34 @@ def test_deeply_nested_entry_is_recomputed(capsys, tmp_path):
     assert capsys.readouterr().out == expected
 
 
+def _set_count(count):
+    def rewrite(entry):
+        obj = json.loads(entry.read_bytes())
+        obj["payload"]["braces_examined"] = count
+        entry.write_text(json.dumps(obj))
+    return rewrite
+
+
+def _digits_payload(entry):
+    # past 4300 digits Python refuses an int literal with a plain ValueError
+    key = json.loads(entry.read_bytes())["key"]
+    entry.write_bytes(b'{"key": %s, "payload": %s}' % (json.dumps(key).encode(), b"1" * 5000))
+
+
+@pytest.mark.parametrize("rewrite", [_set_count(-7), _set_count(0), _digits_payload],
+                         ids=["braces_examined -7", "braces_examined 0", "5000-digit int"])
+def test_impossible_entry_is_recomputed(capsys, tmp_path, rewrite):
+    # a bad verdict examined at least the brace its witness sits on
+    assert main(["classify", "Q8", "--json", "--no-cache"]) == 0
+    expected = capsys.readouterr().out
+    assert main(["classify", "Q8", "--json", "--cache-dir", str(tmp_path)]) == 0
+    capsys.readouterr()
+    rewrite(next(tmp_path.glob("*.json")))
+    with pytest.warns(UserWarning, match="corrupt cache entry"):
+        assert main(["classify", "Q8", "--json", "--cache-dir", str(tmp_path)]) == 0
+    assert capsys.readouterr().out == expected
+
+
 def test_cached_verdict_recovers_from_undecodable_table(tmp_path):
     g = census_lookup("Q8")
     store_verdict(g, False, is_good(g), tmp_path)

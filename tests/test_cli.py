@@ -96,12 +96,15 @@ def test_group_show_rejects_bad_file(capsys, tmp_path):
     assert code == 2 and "missing keys" in err
 
 
-@pytest.mark.parametrize("argv", [("group", "show"), ("brace", "enumerate"),
-                                  ("brace", "check"), ("classify",), ("hg", "report")],
-                         ids=" ".join)
-def test_non_utf8_file_is_a_usage_error(capsys, tmp_path, argv):
+@pytest.mark.parametrize("argv, payload", [
+    pytest.param(argv, payload, id=" ".join(argv) + suffix)
+    # past 4300 digits Python refuses an int literal with a plain ValueError
+    for suffix, payload in (("", b"\xff\xfe{"), (" 5000-digit int", b"[" + b"1" * 5000 + b"]"))
+    for argv in [("group", "show"), ("brace", "enumerate"), ("brace", "check"),
+                 ("classify",), ("hg", "report")]])
+def test_non_utf8_file_is_a_usage_error(capsys, tmp_path, argv, payload):
     path = tmp_path / "bad.json"
-    path.write_bytes(b"\xff\xfe{")
+    path.write_bytes(payload)
     code, out, err = run(capsys, *argv, str(path))
     assert (code, out) == (2, "")
     assert err.startswith("error: ") and "not valid JSON" in err and "Traceback" not in err

@@ -34,6 +34,12 @@ def test_from_table_rejects_out_of_range_entry():
         FiniteGroup.from_table([[0, 1], [1, 5]])
 
 
+def test_from_table_rejects_bool_entries():
+    # a bool table would be written back as JSON true, which group_from_obj refuses
+    with pytest.raises(CayleyTableError, match=r"table\[0\]\[1\] = True"):
+        FiniteGroup.from_table([[0, True], [True, 0]])
+
+
 def test_from_table_rejects_missing_identity():
     # 0 must act as identity on both sides
     with pytest.raises(CayleyTableError, match="identity"):

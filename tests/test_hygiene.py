@@ -1,8 +1,9 @@
 """Every name an import binds, in the package and in the tests, is used or exported,
 every private module-level name of the package is used somewhere in it, no
 package module imports another module's private name, only `jsonio` writes
-JSON, and every package name the benchmark child reads without a fallback
-exists.
+JSON, only `jsonio.loads` decodes it, every package name the benchmark child
+reads without a fallback exists, and a traced benchmark round of each
+workload reports every metric.
 
 The scans are syntactic (ast): an imported name counts as used when it
 appears as a bare name anywhere in the module, in a quoted annotation, or in
@@ -13,6 +14,11 @@ an attribute, or imported anywhere in the package outside its own definition.
 from __future__ import annotations
 
 import ast
+import importlib.util
+import json
+import os
+import subprocess
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -170,6 +176,41 @@ def test_scan_sees_a_json_write():
     assert _json_writes(tree) == ["line 2: from json import dumps", "line 4: json.dump"]
 
 
+def _json_reads(tree: ast.Module) -> list[str]:
+    """`where: what` for every import of json and every use of json.load,
+    json.loads or json.JSONDecoder; where is the top-level definition it sits
+    in, or `module`."""
+    found = []
+    for top in tree.body:
+        where = getattr(top, "name", "module")
+        for node in ast.walk(top):
+            if (isinstance(node, ast.Attribute) and node.attr in ("load", "loads", "JSONDecoder")
+                    and isinstance(node.value, ast.Name) and node.value.id == "json"):
+                found.append(f"{where}: json.{node.attr}")
+            elif isinstance(node, ast.Import):
+                found += [f"{where}: import {alias.name}" for alias in node.names
+                          if alias.name == "json"]
+            elif isinstance(node, ast.ImportFrom) and node.module == "json":
+                found += [f"{where}: from json import {alias.name}" for alias in node.names]
+    return found
+
+
+@pytest.mark.parametrize("path", PACKAGE, ids=lambda p: p.name)
+def test_only_jsonio_reads_json(path):
+    # jsonio.loads is the one decoder, so every undecodable input fails one way
+    found = _json_reads(ast.parse(path.read_text(encoding="utf-8")))
+    expected = ["module: import json", "loads: json.loads"] if path.name == "jsonio.py" else []
+    assert found == expected, f"{path.name} reads JSON outside jsonio.loads: {found}"
+
+
+def test_scan_sees_a_json_read():
+    tree = ast.parse("import os, json as j\nfrom json import loads\n"
+                     "def f(b):\n    return json.loads(b)\n"
+                     "class C:\n    d = json.JSONDecoder()\n    e = json.dumps(d)\n")
+    assert _json_reads(tree) == ["module: import json", "module: from json import loads",
+                                 "f: json.loads", "C: json.JSONDecoder"]
+
+
 CHILD = ROOT / "perfbench" / "child.py"
 
 
@@ -210,3 +251,27 @@ def test_scan_sees_attribute_reads():
                      "getattr(bf, 'd', None)\ncli.main([])\n")
     assert _attribute_reads(tree, "bf") == {"a", "b"}
     assert _package_modules(tree) == {"cli"}
+
+
+def _golden():
+    spec = importlib.util.spec_from_file_location("golden", ROOT / "perfbench" / "golden.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("workload", ["theorem-sweep", "iso-census", "hg-atlas", "cli-cache"])
+def test_traced_benchmark_round_reports_every_metric(tmp_path, workload):
+    # the benchmark drops a probed metric it cannot find from its JSON line and
+    # still exits 0, so a name its child reads (census_label.cache_info, say)
+    # must not go missing unnoticed
+    proc = subprocess.run([sys.executable, str(CHILD), workload, "0", "1", "1", str(tmp_path)],
+                          cwd=ROOT, env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
+                          capture_output=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr.decode(errors="replace")[-2000:]
+    out = json.loads(proc.stdout.splitlines()[-1])
+    assert out["trace"]["absent"] == []
+    if workload != "cli-cache":  # its items are CLI processes the parent runs
+        golden = _golden()
+        assert out["records"]
+        assert golden.check_items(golden.load(), workload, out["records"]) == []

@@ -15,7 +15,7 @@ from braceforge.groups import FiniteGroup
 from braceforge.jsonio import (BUNDLE_SCHEMA, SchemaError, brace_from_obj,
                                brace_to_obj, canonical_bytes, canonical_dumps,
                                descriptor_from_obj, descriptor_to_obj,
-                               group_from_obj, group_to_obj, parse, serialize,
+                               group_from_obj, group_to_obj, loads, parse, serialize,
                                theorem_report_to_obj, verdict_from_obj,
                                verdict_to_obj, witness_from_obj, witness_to_obj)
 from braceforge.report import hg_descriptor, report_bundle
@@ -236,3 +236,23 @@ def test_parse_rejects_wrong_schema_and_garbage():
     assert exc.value.path == "$.schema"
     with pytest.raises(SchemaError, match="not valid JSON"):
         parse(b"{nope")
+
+
+@pytest.mark.parametrize("data", [b"[" + b"1" * 5000 + b"]", b"\xff\xfe{", b"[" * 200_000,
+                                  '"x"'.encode("utf-16")],
+                         ids=["5000-digit int", "non-UTF-8", "deep nesting", "UTF-16"])
+def test_parse_refuses_undecodable_bytes_at_the_root(data):
+    # every decoding failure, the digit limit's plain ValueError included, is a
+    # SchemaError at $ from the one decoder
+    for decode in (parse, loads):
+        with pytest.raises(SchemaError, match="not valid JSON") as exc:
+            decode(data)
+        assert exc.value.path == "$"
+
+
+def test_verdict_from_obj_rejects_a_negative_count():
+    obj = _q8_verdict()
+    obj["braces_examined"] = -7
+    with pytest.raises(SchemaError, match="non-negative") as exc:
+        verdict_from_obj(obj)
+    assert exc.value.path == "$.braces_examined"
