@@ -129,15 +129,12 @@ def gamma(b: SkewBrace) -> GammaFunction:
     return GammaFunction(brace=b, maps=maps)
 
 
-FAILURE_KINDS = ("dot-closure", "gamma")
-
-
 @dataclass(frozen=True)
 class LeftIdealFlag:
     members: tuple[int, ...]
     is_left_ideal: bool
     failing_pair: tuple[int, int] | None = None
-    failure_kind: str | None = None  # one of FAILURE_KINDS
+    failure_kind: str | None = None  # "dot-closure" | "gamma"
 
 
 def left_ideal_status(b: SkewBrace, members: Iterable[int]) -> LeftIdealFlag:

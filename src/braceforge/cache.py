@@ -96,7 +96,7 @@ def cached_verdict(group: FiniteGroup, exhaustive: bool,
     try:
         v = verdict_from_obj(payload, dot=group)  # the witness must sit on group's table
         if (v.good or v.witness is None or v.group_label != group.label
-                or v.exhaustive != exhaustive or v.braces_examined < 1):
+                or v.exhaustive != exhaustive):
             raise ValueError("not a bad verdict with a witness for this group and mode")
         replay_witness(v.witness)  # the parser has already validated the brace
     except ValueError as exc:  # SchemaError, CayleyTableError, BraceValidationError, replay

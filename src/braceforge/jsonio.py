@@ -3,20 +3,21 @@
 This module is the JSON trust boundary.  `canonical_dumps` is the one writer:
 sorted keys and fixed indentation, so equal objects give identical bytes.
 `loads` is the one decoder: strict UTF-8, then JSON, any failure a
-`SchemaError`.  Parsing checks each field shape in one place, with the JSON
-path in every error, then runs the full mathematical validation
-(FiniteGroup.from_table and braces.validate) on every table, except a dot
-table the caller already trusts.  Groups, braces, verdicts and report
-bundles are parsed, user files and cache entries alike; an enumeration is
-only written, as the output of `brace enumerate`.
+`SchemaError`.  Parsing checks each field's shape, with the JSON path in
+every error (no number field takes a bool), then runs the full mathematical
+validation (FiniteGroup.from_table and braces.validate) on every table,
+except a dot table the caller already trusts.  Groups, braces, verdicts and
+report bundles are parsed, user files and cache entries alike; an
+enumeration is only written, as the output of `brace enumerate`.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from typing import Any
 
-from .braces import FAILURE_KINDS, LeftIdealFlag, SkewBrace, validate
+from .braces import LeftIdealFlag, SkewBrace, validate
 from .classify import TheoremReport, Verdict, Witness
 from .enumeration import BraceEnumeration
 from .groups import FiniteGroup
@@ -108,13 +109,13 @@ def canonical_bytes(obj: Any) -> bytes:
     return canonical_dumps(obj).encode("utf-8")
 
 
-def loads(data: bytes, path: str = "$") -> Any:
+def loads(data: bytes) -> Any:
     """Strict UTF-8, then JSON.  Every failure, a ValueError (bad UTF-8 or JSON, an
     int literal past Python's digit limit) or a RecursionError, is a SchemaError."""
     try:
         return json.loads(data.decode("utf-8"))
     except (ValueError, RecursionError) as exc:
-        raise SchemaError(path, f"not valid JSON: {exc}") from exc
+        raise SchemaError("$", f"not valid JSON: {exc}") from exc
 
 
 def _expect_dict(obj: Any, path: str, keys: set[str]) -> dict:
@@ -143,26 +144,8 @@ def _expect_ints(v: Any, path: str) -> tuple[int, ...]:
     return tuple(v)
 
 
-def _expect_pair(v: Any, path: str, nullable: bool = False) -> tuple[int, int] | None:
-    """A failing pair; with `nullable` (a lattice entry), null too."""
-    if nullable and v is None:
-        return None
-    if not _is_ints(v) or len(v) != 2:
-        raise SchemaError(path, "expected null or a pair" if nullable else "expected a pair of ints")
-    return v[0], v[1]
-
-
-def _expect_kind(v: Any, path: str, nullable: bool = False) -> str | None:
-    """One of FAILURE_KINDS; with `nullable` (a lattice entry), null too."""
-    if nullable and v is None:
-        return None
-    if v not in FAILURE_KINDS:
-        null = "null, " if nullable else ""
-        raise SchemaError(path, f"expected {null}" + " or ".join(map(repr, FAILURE_KINDS)))
-    return v
-
-
-def _expect_fields(d: dict, path: str, kind: type, what: str, *keys: str) -> None:
+def _expect_fields(d: dict, path: str, kind: type, *keys: str) -> None:
+    what = "a string" if kind is str else "a bool"
     for key in keys:
         if not isinstance(d[key], kind):
             raise SchemaError(f"{path}.{key}", f"expected {what}")
@@ -172,7 +155,7 @@ def _expect_header(d: dict, path: str) -> int:
     """The order, a positive int, and the label of a group or brace object."""
     if not _is_int(d["order"]) or d["order"] < 1:
         raise SchemaError(f"{path}.order", "expected a positive int")
-    _expect_fields(d, path, str, "a string", "label")
+    _expect_fields(d, path, str, "label")
     return d["order"]
 
 
@@ -247,10 +230,13 @@ def witness_to_obj(w: Witness) -> dict:
 
 def witness_from_obj(obj: Any, path: str = "$", dot: FiniteGroup | None = None) -> Witness:
     d = _expect_dict(obj, path, {"brace", "subgroup", "failing", "kind"})
-    return Witness(brace=brace_from_obj(d["brace"], f"{path}.brace", dot),
-                   subgroup=_expect_ints(d["subgroup"], f"{path}.subgroup"),
-                   failing=_expect_pair(d["failing"], f"{path}.failing"),
-                   kind=_expect_kind(d["kind"], f"{path}.kind"))
+    brace = brace_from_obj(d["brace"], f"{path}.brace", dot)
+    subgroup = _expect_ints(d["subgroup"], f"{path}.subgroup")
+    if not _is_ints(d["failing"]) or len(d["failing"]) != 2:
+        raise SchemaError(f"{path}.failing", "expected a pair of ints")
+    if d["kind"] not in ("dot-closure", "gamma"):
+        raise SchemaError(f"{path}.kind", "expected 'dot-closure' or 'gamma'")
+    return Witness(brace=brace, subgroup=subgroup, failing=tuple(d["failing"]), kind=d["kind"])
 
 
 def verdict_to_obj(v: Verdict) -> dict:
@@ -262,12 +248,12 @@ def verdict_to_obj(v: Verdict) -> dict:
 def verdict_from_obj(obj: Any, path: str = "$", dot: FiniteGroup | None = None) -> Verdict:
     """Parse a verdict; `dot`, if given, is the trusted group its witness must sit on."""
     d = _expect_dict(obj, path, {"group", "good", "witness", "braces_examined", "exhaustive"})
-    _expect_fields(d, path, str, "a string", "group")
-    _expect_fields(d, path, bool, "a bool", "good", "exhaustive")
+    _expect_fields(d, path, str, "group")
+    _expect_fields(d, path, bool, "good", "exhaustive")
     if not _is_int(d["braces_examined"]):
         raise SchemaError(f"{path}.braces_examined", "expected an int")
-    if d["braces_examined"] < 0:
-        raise SchemaError(f"{path}.braces_examined", "expected a non-negative int")
+    if d["braces_examined"] < 1:  # every scan examines at least the trivial brace
+        raise SchemaError(f"{path}.braces_examined", "expected a positive int")
     witness = (None if d["witness"] is None
                else witness_from_obj(d["witness"], f"{path}.witness", dot))
     return Verdict(group_label=d["group"], good=d["good"], witness=witness,
@@ -303,8 +289,8 @@ def descriptor_to_obj(d: HGDescriptor) -> dict:
 def descriptor_from_obj(obj: Any, path: str = "$") -> HGDescriptor:
     d = _expect_dict(obj, path, {"type_label", "galois_label", "gamma_orbits", "lattice",
                                  "bijective", "classical", "canonical_nonclassical"})
-    _expect_fields(d, path, str, "a string", "type_label", "galois_label")
-    _expect_fields(d, path, bool, "a bool", "bijective", "classical", "canonical_nonclassical")
+    _expect_fields(d, path, str, "type_label", "galois_label")
+    _expect_fields(d, path, bool, "bijective", "classical", "canonical_nonclassical")
     if not isinstance(d["gamma_orbits"], list) or not all(map(_is_ints, d["gamma_orbits"])):
         raise SchemaError(f"{path}.gamma_orbits", "expected a list of int lists")
     if not isinstance(d["lattice"], list):
@@ -314,11 +300,15 @@ def descriptor_from_obj(obj: Any, path: str = "$") -> HGDescriptor:
         ep = f"{path}.lattice[{i}]"
         ed = _expect_dict(eo, ep, {"members", "is_left_ideal", "failing_pair", "failure_kind"})
         members = _expect_ints(ed["members"], f"{ep}.members")
-        _expect_fields(ed, ep, bool, "a bool", "is_left_ideal")
-        entries.append(LeftIdealFlag(
-            members=members, is_left_ideal=ed["is_left_ideal"],
-            failing_pair=_expect_pair(ed["failing_pair"], f"{ep}.failing_pair", nullable=True),
-            failure_kind=_expect_kind(ed["failure_kind"], f"{ep}.failure_kind", nullable=True)))
+        _expect_fields(ed, ep, bool, "is_left_ideal")
+        fp, fk = ed["failing_pair"], ed["failure_kind"]
+        if fp is not None and (not _is_ints(fp) or len(fp) != 2):
+            raise SchemaError(f"{ep}.failing_pair", "expected null or a pair")
+        if fk not in (None, "dot-closure", "gamma"):
+            raise SchemaError(f"{ep}.failure_kind", "expected null, 'dot-closure' or 'gamma'")
+        entries.append(LeftIdealFlag(members=members, is_left_ideal=ed["is_left_ideal"],
+                                     failing_pair=None if fp is None else tuple(fp),
+                                     failure_kind=fk))
     return HGDescriptor(type_label=d["type_label"], galois_label=d["galois_label"],
                         gamma_orbits=tuple(tuple(o) for o in d["gamma_orbits"]),
                         lattice=tuple(entries), bijective=d["bijective"],
@@ -344,9 +334,9 @@ def parse(data: bytes) -> ReportBundle:
                                         "timing_ms", "descriptor"})
     if d["schema"] != BUNDLE_SCHEMA:
         raise SchemaError("$.schema", f"expected {BUNDLE_SCHEMA!r}, got {d['schema']!r}")
-    _expect_fields(d, "$", str, "a string", "tool_version", "input_sha256")
+    _expect_fields(d, "$", str, "tool_version", "input_sha256")
     t = d["timing_ms"]
-    if t is not None and not isinstance(t, (int, float)):
+    if t is not None and not (_is_int(t) or type(t) is float and math.isfinite(t)):
         raise SchemaError("$.timing_ms", "expected null or a number")
     return ReportBundle(descriptor=descriptor_from_obj(d["descriptor"], "$.descriptor"),
                         input_sha256=d["input_sha256"], tool_version=d["tool_version"],

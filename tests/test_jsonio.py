@@ -250,9 +250,20 @@ def test_parse_refuses_undecodable_bytes_at_the_root(data):
         assert exc.value.path == "$"
 
 
-def test_verdict_from_obj_rejects_a_negative_count():
+@pytest.mark.parametrize("count", [-7, 0])
+def test_verdict_from_obj_rejects_a_count_below_one(count):
+    # every scan examines at least the trivial brace
     obj = _q8_verdict()
-    obj["braces_examined"] = -7
-    with pytest.raises(SchemaError, match="non-negative") as exc:
+    obj["braces_examined"] = count
+    with pytest.raises(SchemaError, match="expected a positive int") as exc:
         verdict_from_obj(obj)
     assert exc.value.path == "$.braces_examined"
+
+
+@pytest.mark.parametrize("timing", [b"true", b"NaN", b"Infinity", b"-Infinity"])
+def test_parse_refuses_a_timing_that_is_not_a_finite_number(timing):
+    data = serialize(report_bundle(trivial(census_lookup("C2"))))
+    assert b'"timing_ms": null' in data
+    with pytest.raises(SchemaError, match="expected null or a number") as exc:
+        parse(data.replace(b'"timing_ms": null', b'"timing_ms": ' + timing))
+    assert exc.value.path == "$.timing_ms"
