@@ -113,7 +113,6 @@ class GammaFunction:
         return self.maps[a][x]
 
 
-@lru_cache(maxsize=None)
 def gamma(b: SkewBrace) -> GammaFunction:
     """gamma_a(x) = a^-1 . (a o x), materialized as one permutation per element.
 
@@ -155,11 +154,11 @@ def left_ideal_status(b: SkewBrace, members: Iterable[int]) -> LeftIdealFlag:
             if row[x] not in mset:
                 return LeftIdealFlag(members=ms, is_left_ideal=False,
                                      failing_pair=(a, x), failure_kind="dot-closure")
-    maps = gamma(b).maps
+    ct, inv = b.circ.table, b.dot.inv
     for a in range(b.order):
-        m = maps[a]
+        ia, ca = dt[inv[a]], ct[a]
         for x in ms:
-            if m[x] not in mset:
+            if ia[ca[x]] not in mset:  # gamma_a(x) = a^-1 . (a o x)
                 return LeftIdealFlag(members=ms, is_left_ideal=False,
                                      failing_pair=(a, x), failure_kind="gamma")
     return LeftIdealFlag(members=ms, is_left_ideal=True)

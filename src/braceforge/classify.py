@@ -8,11 +8,10 @@ for prime divisors p, q of the order.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from typing import Iterable
 
-from .braces import SkewBrace, gamma, left_ideal_flags, left_ideal_status, validate
+from .braces import SkewBrace, left_ideal_flags, left_ideal_status, validate
 from .census import CENSUS_MAX_ORDER, census
 from .enumeration import enumerate_circ
 from .groups import FiniteGroup, Subgroup, cyclic_subgroups, direct_product, subgroups
@@ -67,7 +66,7 @@ def replay_witness(w: Witness) -> None:
         if a not in ms or b.dot.table[a][x] in ms:
             raise ValueError("claimed dot-closure failure does not fail")
     elif w.kind == "gamma":
-        if gamma(b).maps[a][x] in ms:
+        if b.dot.table[b.dot.inv[a]][ct[a][x]] in ms:  # gamma_a(x) = a^-1 . (a o x)
             raise ValueError("claimed gamma failure does not fail")
     else:
         raise ValueError(f"unknown witness kind {w.kind!r}")
@@ -172,29 +171,22 @@ class TheoremReport:
         return [r.label for r in self.rows if r.computed]
 
 
-def _theorem_row(args) -> TheoremRow:
-    group, exhaustive, cache_dir = args
-    verdict = is_good(group, exhaustive=exhaustive, cache_dir=cache_dir)
-    return TheoremRow(label=group.label, order=group.order,
-                      predicted=theorem_predicate(group), computed=verdict.good)
-
-
 def verify_theorem(max_order: int = CENSUS_MAX_ORDER, *, exhaustive: bool = False,
                    cache_dir=None, workers: int = 1) -> TheoremReport:
     """Compare the computed verdict with the closed-form predicate on every census
-    group up to max_order.  Rows always come back in census order regardless of
-    worker count."""
-    tasks = [(e.group, exhaustive, cache_dir) for e in census(max_order)]
-    # the pool starts every worker at once, so never ask for more than can run
-    workers = min(workers, len(tasks), os.cpu_count() or 1)
-    if workers > 1:
-        from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            rows = tuple(pool.map(_theorem_row, tasks))
-    else:
-        rows = tuple(_theorem_row(t) for t in tasks)
+    group up to max_order, in census order.
+
+    The sweep runs in one process.  `workers` is accepted for compatibility
+    and unused: a process pool measured slower than one process at every
+    order the census allows.
+    """
+    rows = []
+    for e in census(max_order):
+        verdict = is_good(e.group, exhaustive=exhaustive, cache_dir=cache_dir)
+        rows.append(TheoremRow(label=e.label, order=e.order,
+                               predicted=theorem_predicate(e.group), computed=verdict.good))
     all_match = all(r.predicted == r.computed for r in rows)
-    return TheoremReport(max_order=max_order, rows=rows, all_match=all_match)
+    return TheoremReport(max_order=max_order, rows=tuple(rows), all_match=all_match)
 
 
 # ---------------------------------------------------------------------------

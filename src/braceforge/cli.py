@@ -72,7 +72,7 @@ def _resolve_brace(target: str) -> SkewBrace:
 
 
 def _cache_dir(args) -> Path | None:
-    if getattr(args, "no_cache", False):
+    if args.no_cache:
         return None
     return resolve_cache_dir(args.cache_dir)
 
@@ -121,11 +121,7 @@ def _cmd_group_show(args) -> int:
 
 def _cmd_brace_enumerate(args) -> int:
     g = _resolve_group(args.additive)
-    try:
-        enum = enumerate_circ(g)
-    except CensusCapError as exc:
-        raise UsageError(str(exc)) from exc
-    enum = with_mult_types(enum)
+    enum = with_mult_types(enumerate_circ(g))
     if args.up_to_iso:
         enum = reduce_up_to_iso(enum)
     if args.json:
@@ -175,11 +171,8 @@ def _verdict_lines(v: Verdict) -> list[str]:
 
 
 def _cmd_classify(args) -> int:
-    g = _resolve_group(args.target)
-    try:
-        v = is_good(g, exhaustive=args.exhaustive, cache_dir=_cache_dir(args))
-    except CensusCapError as exc:
-        raise UsageError(str(exc)) from exc
+    v = is_good(_resolve_group(args.target), exhaustive=args.exhaustive,
+                cache_dir=_cache_dir(args))
     if args.json:
         print(canonical_dumps(verdict_to_obj(v)), end="")
     else:
@@ -194,7 +187,7 @@ def _cmd_verify_theorem(args) -> int:
     try:
         report = verify_theorem(args.max_order, exhaustive=args.exhaustive,
                                 cache_dir=_cache_dir(args), workers=args.workers)
-    except (CensusCapError, ValueError) as exc:
+    except ValueError as exc:  # max_order < 1, or above the census cap
         raise UsageError(str(exc)) from exc
     if args.json:
         print(canonical_dumps(theorem_report_to_obj(report)), end="")
@@ -208,29 +201,25 @@ def _cmd_verify_theorem(args) -> int:
     return 0 if report.all_match else 1
 
 
+# name -> (constructor, {parameter: default})
+_EXAMPLES = {
+    "q8": (example_q8, {}),
+    "c2cubed": (example_c2cubed, {}),
+    "cn-even": (example_cn_even, {"n": 4}),
+    "pq": (example_pq, {"p": 3, "q": 2, "n": 1, "m": 1}),
+    "p-odd": (example_p_odd, {"p": 3, "n": 1, "m": 1}),
+    "order4": (brace_order4_nontrivial, {}),
+}
+
+
 def _build_example(args) -> SkewBrace:
-    name = args.name
+    make, defaults = _EXAMPLES[args.name]
+    params = {k: default if getattr(args, k) is None else getattr(args, k)
+              for k, default in defaults.items()}
     try:
-        if name == "q8":
-            return example_q8()
-        if name == "c2cubed":
-            return example_c2cubed()
-        if name == "cn-even":
-            return example_cn_even(args.n if args.n is not None else 4)
-        if name == "pq":
-            return example_pq(args.p if args.p is not None else 3,
-                              args.q if args.q is not None else 2,
-                              args.n if args.n is not None else 1,
-                              args.m if args.m is not None else 1)
-        if name == "p-odd":
-            return example_p_odd(args.p if args.p is not None else 3,
-                                 args.n if args.n is not None else 1,
-                                 args.m if args.m is not None else 1)
-        if name == "order4":
-            return brace_order4_nontrivial()
+        return make(**params)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
-    raise UsageError(f"unknown example {name!r}")
 
 
 def _cmd_example(args) -> int:
@@ -331,14 +320,15 @@ def build_parser() -> argparse.ArgumentParser:
     verify_sub = p_verify.add_subparsers(dest="verify_command", required=True)
     p = verify_sub.add_parser("theorem", help="compare predicted and computed goodness")
     p.add_argument("--max-order", type=int, default=CENSUS_MAX_ORDER)
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--workers", type=int, default=1,
+                   help="accepted for compatibility; the sweep runs in one process")
     p.add_argument("--exhaustive", action="store_true")
     p.add_argument("--json", action="store_true")
     _add_cache_flags(p)
     p.set_defaults(func=_cmd_verify_theorem)
 
     p = sub.add_parser("example", help="build one of the named bad constructions")
-    p.add_argument("name", choices=["q8", "c2cubed", "cn-even", "pq", "p-odd", "order4"])
+    p.add_argument("name", choices=list(_EXAMPLES))
     p.add_argument("--n", type=int, default=None)
     p.add_argument("--m", type=int, default=None)
     p.add_argument("--p", type=int, default=None)
@@ -367,7 +357,7 @@ def main(argv=None) -> int:
     try:
         code = args.func(args)
         sys.stdout.flush()
-    except UsageError as exc:
+    except (UsageError, CensusCapError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except BrokenPipeError:

@@ -223,6 +223,15 @@ def direct_product(a: FiniteGroup, b: FiniteGroup, label: str = "") -> FiniteGro
                        label=label or f"{a.label}x{b.label}")
 
 
+def _dihedral_or_dicyclic(m: int, twist: int, label: str) -> FiniteGroup:
+    """Order 2m: r^i s^j encoded as j*m + i, with r^m = 1, s r s^-1 = r^-1
+    and s^2 = r^twist (twist 0 is dihedral, twist m/2 is dicyclic)."""
+    rows = [[((j + l) % 2) * m + (i + (-k if j else k) + twist * j * l) % m
+             for l in range(2) for k in range(m)]
+            for j in range(2) for i in range(m)]
+    return FiniteGroup.from_table(rows, label=label)
+
+
 def make_dihedral(n: int) -> FiniteGroup:
     """Dihedral group of order n (so D8 is the symmetries of a square).
 
@@ -234,34 +243,14 @@ def make_dihedral(n: int) -> FiniteGroup:
         return make_cyclic(2)
     if n == 4:
         return make_abelian([2, 2])
-    m = n // 2
-    # element r^i s^j encoded as j*m + i
-    rows = [[0] * n for _ in range(n)]
-    for i in range(m):
-        for j in range(2):
-            e1 = j * m + i
-            for k in range(m):
-                for l in range(2):
-                    i2 = (i + (k if j == 0 else -k)) % m
-                    rows[e1][l * m + k] = ((j + l) % 2) * m + i2
-    return FiniteGroup.from_table(rows, label=f"D{n}")
+    return _dihedral_or_dicyclic(n // 2, 0, f"D{n}")
 
 
 def make_dicyclic(m: int) -> FiniteGroup:
     """Dicyclic group of order 4m: <a, b | a^(2m) = 1, b^2 = a^m, b a b^-1 = a^-1>."""
     if m < 2:
         raise ValueError(f"dicyclic parameter must be >= 2, got {m}")
-    n = 4 * m
-    # element a^i b^j encoded as j*2m + i
-    rows = [[0] * n for _ in range(n)]
-    for i in range(2 * m):
-        for j in range(2):
-            e1 = j * 2 * m + i
-            for k in range(2 * m):
-                for l in range(2):
-                    i2 = (i + (k if j == 0 else -k) + m * ((j + l) // 2)) % (2 * m)
-                    rows[e1][l * 2 * m + k] = ((j + l) % 2) * 2 * m + i2
-    return FiniteGroup.from_table(rows, label=f"Dic{m}")
+    return _dihedral_or_dicyclic(2 * m, m, f"Dic{m}")
 
 
 def make_quaternion8() -> FiniteGroup:

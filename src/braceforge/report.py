@@ -23,6 +23,7 @@ import hashlib
 from dataclasses import dataclass
 from functools import lru_cache
 
+from . import __version__
 from .braces import LeftIdealFlag, SkewBrace, gamma_reach, left_ideal_flags
 from .census import CensusEntry, census_match, label_or_unknown
 from .groups import FiniteGroup, subgroups
@@ -122,6 +123,5 @@ def brace_digest(b: SkewBrace) -> str:
 
 
 def report_bundle(b: SkewBrace, timing_ms: float | None = None) -> ReportBundle:
-    from . import __version__
     return ReportBundle(descriptor=hg_descriptor(b), input_sha256=brace_digest(b),
                         tool_version=__version__, timing_ms=timing_ms)

@@ -16,11 +16,13 @@ from braceforge.classify import (c_group_check, direct_factor_witness, first_fai
                                  heuristic_characteristic_count,
                                  heuristic_subgroup_containment,
                                  heuristic_subgroup_count, is_good,
-                                 theorem_predicate, verify_theorem, verify_witness)
+                                 replay_witness, theorem_predicate, verify_theorem,
+                                 verify_witness)
 from braceforge.constructions import example_p_odd, example_pq, example_q8
 from braceforge.enumeration import enumerate_circ
 from braceforge.groups import (FiniteGroup, direct_product, make_abelian, make_cyclic,
                                make_dihedral, make_quaternion8, subgroups)
+from braceforge.report import hg_descriptor
 
 GOOD_LABELS = ["C1", "C2", "C3", "C2xC2", "C5", "C7", "C9", "C11", "C13", "C15"]
 
@@ -126,6 +128,27 @@ def test_first_failure_runs_the_exact_scan_only_on_its_witness(
         assert calls == bad, b.label
 
 
+def test_a_brace_builds_gamma_at_most_once(monkeypatch, census_braces):
+    # a descriptor, the first-failure scan and the witness replay share one
+    # gamma build: the scan and the replay read the tables directly
+    calls = 0
+    build = braces.gamma
+
+    def counting_gamma(b):
+        nonlocal calls
+        calls += 1
+        return build(b)
+
+    monkeypatch.setattr(braces, "gamma", counting_gamma)
+    for b in census_braces:
+        calls = 0
+        hg_descriptor(b)
+        w = first_failure(b)
+        if w is not None:
+            replay_witness(w)
+        assert calls <= 1, b.label
+
+
 def test_verify_witness_rejects_tampering():
     w = is_good(census_lookup("Q8")).witness
     verify_witness(w)
@@ -158,36 +181,6 @@ def test_verify_theorem_small():
 
 def test_verify_theorem_worker_counts_agree():
     assert verify_theorem(8, workers=2) == verify_theorem(8, workers=1)
-
-
-def test_verify_theorem_clamps_workers(monkeypatch):
-    # a fake pool records what it was asked for; no process is ever started
-    import concurrent.futures
-    import braceforge.classify as classify
-    asked = []
-
-    class FakePool:
-        def __init__(self, max_workers):
-            asked.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, items):
-            return map(fn, items)
-
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FakePool)
-    monkeypatch.setattr(classify.os, "cpu_count", lambda: 4)
-    assert verify_theorem(8, workers=100000) == verify_theorem(8)
-    assert asked == [4]  # capped by the CPU count
-    assert verify_theorem(2, workers=100000) == verify_theorem(2)
-    assert asked == [4, 2]  # capped by the two tasks, C1 and C2
-    monkeypatch.setattr(classify.os, "cpu_count", lambda: None)
-    assert verify_theorem(8, workers=3) == verify_theorem(8)
-    assert asked == [4, 2]  # an unknown CPU count runs serially
 
 
 def test_verify_theorem_cap():

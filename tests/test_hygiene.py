@@ -1,9 +1,9 @@
 """Every name an import binds, in the package and in the tests, is used or exported,
 every private module-level name of the package is used somewhere in it, no
 package module imports another module's private name, only `jsonio` writes
-JSON, only `jsonio.loads` decodes it, every package name the benchmark child
-reads without a fallback exists, and a traced benchmark round of each
-workload reports every metric.
+JSON, only `jsonio.loads` decodes it, no package module imports a process
+pool, every package name the benchmark child reads without a fallback
+exists, and a traced benchmark round of each workload reports every metric.
 
 The scans are syntactic (ast): an imported name counts as used when it
 appears as a bare name anywhere in the module, in a quoted annotation, or in
@@ -209,6 +209,42 @@ def test_scan_sees_a_json_read():
                      "class C:\n    d = json.JSONDecoder()\n    e = json.dumps(d)\n")
     assert _json_reads(tree) == ["module: import json", "module: from json import loads",
                                  "f: json.loads", "C: json.JSONDecoder"]
+
+
+POOL_MODULES = ("concurrent.futures", "multiprocessing")
+
+
+def _pool_imports(tree: ast.Module) -> list[str]:
+    """`line N: module` for every import statement that reaches a process-pool
+    module, naming the first pool module it reaches."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module and not node.level:
+            names = [node.module, *(f"{node.module}.{alias.name}" for alias in node.names)]
+        else:
+            continue
+        hit = next((m for m in names
+                    if any(m == p or m.startswith(p + ".") for p in POOL_MODULES)), None)
+        if hit is not None:
+            found.append(f"line {node.lineno}: {hit}")
+    return found
+
+
+@pytest.mark.parametrize("path", PACKAGE, ids=lambda p: p.name)
+def test_no_process_pool_is_imported(path):
+    # the sweep runs in one process: a pool measured slower at every census order
+    found = _pool_imports(ast.parse(path.read_text(encoding="utf-8")))
+    assert not found, f"{path.name} imports a process pool: {found}"
+
+
+def test_scan_sees_a_pool_import():
+    tree = ast.parse("import os, multiprocessing.pool\nfrom concurrent import futures\n"
+                     "def f():\n    from concurrent.futures import ProcessPoolExecutor\n"
+                     "import concurrency\nfrom . import multiprocessing\n")
+    assert _pool_imports(tree) == ["line 1: multiprocessing.pool", "line 2: concurrent.futures",
+                                   "line 4: concurrent.futures"]
 
 
 CHILD = ROOT / "perfbench" / "child.py"
