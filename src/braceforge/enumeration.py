@@ -100,22 +100,17 @@ def _regular_subgroup_tables(g: FiniteGroup) -> list[Table]:
     return results
 
 
-_ENUM_MEMO: dict[tuple[str, Table], BraceEnumeration] = {}
-
-
 def enumerate_circ(additive: FiniteGroup) -> BraceEnumeration:
     """All circ tables forming a skew brace with the given additive group.
 
     Operations come back sorted by circ table, the order in which the search
     finds them, so the order is canonical.  Every table the search gives is
     validated; a failure there is an internal fault, not an input error.
+    Enumerations are not memoized within a process: each call searches
+    again, and a caller who needs one twice holds it.
     """
     if additive.order > CENSUS_MAX_ORDER:
         raise CensusCapError(f"enumeration is capped at order {CENSUS_MAX_ORDER}")
-    key = (additive.label, additive.table)
-    hit = _ENUM_MEMO.get(key)
-    if hit is not None:
-        return hit
     ops = []
     for i, t in enumerate(_regular_subgroup_tables(additive)):
         circ = FiniteGroup.from_table(t, label=f"{additive.label}-circ{i}")
@@ -123,9 +118,7 @@ def enumerate_circ(additive: FiniteGroup) -> BraceEnumeration:
             ops.append(validate(additive, circ, label=f"{additive.label}-op{i}"))
         except BraceValidationError as exc:  # an internal fault
             raise RuntimeError(f"search table failed validation: {exc}") from exc
-    enum = BraceEnumeration(additive=additive, operations=tuple(ops))
-    _ENUM_MEMO[key] = enum
-    return enum
+    return BraceEnumeration(additive=additive, operations=tuple(ops))
 
 
 def reduce_up_to_iso(enum: BraceEnumeration) -> BraceEnumeration:

@@ -113,7 +113,7 @@ class ReportBundle:
     descriptor: HGDescriptor
     input_sha256: str
     tool_version: str
-    timing_ms: float | None = None
+    timing_ms: float | None = None  # None from report_bundle; report-v1 keeps the key
 
 
 def brace_digest(b: SkewBrace) -> str:
@@ -122,6 +122,6 @@ def brace_digest(b: SkewBrace) -> str:
     return hashlib.sha256(payload).hexdigest()
 
 
-def report_bundle(b: SkewBrace, timing_ms: float | None = None) -> ReportBundle:
+def report_bundle(b: SkewBrace) -> ReportBundle:
     return ReportBundle(descriptor=hg_descriptor(b), input_sha256=brace_digest(b),
-                        tool_version=__version__, timing_ms=timing_ms)
+                        tool_version=__version__)

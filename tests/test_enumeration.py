@@ -5,6 +5,8 @@ structural invariants (canonical order, transport equivariance, partitions).
 
 from __future__ import annotations
 
+import gc
+import weakref
 from collections import Counter
 from dataclasses import replace
 
@@ -237,11 +239,9 @@ def _foreign_group(tables):
 def test_enumeration_gate_rejects_a_corrupted_search_table(monkeypatch, corrupt, error):
     # the one check on each produced table is from_table + validate
     g = relabel(census_lookup("C4"), "C4-fault")
-    assert (g.label, g.table) not in enumeration._ENUM_MEMO
     _corrupt_search(monkeypatch, corrupt)
     with pytest.raises(error):
         enumerate_circ(g)
-    assert (g.label, g.table) not in enumeration._ENUM_MEMO
 
 
 def test_search_composes_fewer_than_aut_squared_times(monkeypatch):
@@ -282,9 +282,11 @@ def test_buckets_are_built_only_for_slots_the_search_picks(monkeypatch, census15
     assert skipped > 0
 
 
-def test_enumeration_memoized():
-    g = census_lookup("D10")
-    assert enumerate_circ(g) is enumerate_circ(g)
+def test_enumerate_circ_keeps_no_enumeration_alive():
+    # the caller holds an enumeration; the library keeps no reference to it
+    held = weakref.ref(enumerate_circ(relabel(census_lookup("D8"), "D8-held")))
+    gc.collect()
+    assert held() is None
 
 
 def test_braces_with_mult_group_q8():

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -218,7 +219,7 @@ def test_descriptor_from_obj_rejects_bad_failure_kind():
 
 
 def test_bundle_serialize_parse_round_trip():
-    bundle = report_bundle(example_q8(), timing_ms=3.25)
+    bundle = replace(report_bundle(example_q8()), timing_ms=3.25)
     data = serialize(bundle)
     assert data == serialize(bundle)
     back = parse(data)

@@ -11,9 +11,28 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from braceforge import classify
 from braceforge.census import census
 from braceforge.classify import is_good, verify_witness
 from braceforge.cli import main
+
+
+@pytest.fixture(scope="module", autouse=True)
+def held_enumerations():
+    """Hold each group's enumeration for this module: the property below
+    re-classifies the same groups on every example.  The key has the label,
+    since operation labels are built from it and group equality ignores it."""
+    real = classify.enumerate_circ
+    held = {}
+
+    def enumerate_once(g):
+        key = (g.label, g.table)
+        if key not in held:
+            held[key] = real(g)
+        return held[key]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(classify, "enumerate_circ", enumerate_once)
+        yield
 
 
 def run(capsys, *argv: str) -> tuple[int, str, str]:
