@@ -10,8 +10,8 @@ __version__ = "0.1.0"
 
 from .braces import (BraceRelationError, BraceValidationError, GammaFunction,
                      LeftIdealFlag, SkewBrace, almost_trivial, brace_isomorphic,
-                     gamma, is_left_ideal, left_ideal_flags, left_ideal_status,
-                     left_ideals, trivial, validate)
+                     gamma, left_ideal_flags, left_ideal_status, left_ideals,
+                     trivial, validate)
 from .census import (CENSUS_MAX_ORDER, CensusCapError, CensusEntry, census,
                      census_label, census_labels, census_lookup, census_match,
                      label_or_unknown)
@@ -21,8 +21,7 @@ from .constructions import (brace_order4_nontrivial, example_c2cubed,
                             example_cn_even, example_p_odd, example_pq,
                             example_q8, least_kappa)
 from .enumeration import (BraceEnumeration, braces_with_mult_group,
-                          enumerate_circ, mult_type_census, reduce_up_to_iso,
-                          with_mult_types)
+                          enumerate_circ, reduce_up_to_iso, with_mult_types)
 from .groups import (CayleyTableError, FiniteGroup, Subgroup, cyclic_subgroups,
                      direct_product, make_abelian, make_alternating4, make_cyclic,
                      make_dicyclic, make_dihedral, make_quaternion8,
@@ -35,8 +34,8 @@ __all__ = [
     "__version__",
     "BraceRelationError", "BraceValidationError", "GammaFunction",
     "LeftIdealFlag", "SkewBrace", "almost_trivial", "brace_isomorphic",
-    "gamma", "is_left_ideal", "left_ideal_flags", "left_ideal_status",
-    "left_ideals", "trivial", "validate",
+    "gamma", "left_ideal_flags", "left_ideal_status", "left_ideals",
+    "trivial", "validate",
     "CENSUS_MAX_ORDER", "CensusCapError", "CensusEntry", "census",
     "census_label", "census_labels", "census_lookup", "census_match",
     "label_or_unknown",
@@ -45,7 +44,7 @@ __all__ = [
     "brace_order4_nontrivial", "example_c2cubed", "example_cn_even",
     "example_p_odd", "example_pq", "example_q8", "least_kappa",
     "BraceEnumeration", "braces_with_mult_group", "enumerate_circ",
-    "mult_type_census", "reduce_up_to_iso", "with_mult_types",
+    "reduce_up_to_iso", "with_mult_types",
     "CayleyTableError", "FiniteGroup", "Subgroup", "cyclic_subgroups", "direct_product",
     "make_abelian", "make_alternating4", "make_cyclic", "make_dicyclic",
     "make_dihedral", "make_quaternion8", "semidirect_product", "subgroups",

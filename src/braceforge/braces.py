@@ -106,11 +106,8 @@ def almost_trivial(g: FiniteGroup) -> SkewBrace:
 
 @dataclass(frozen=True)
 class GammaFunction:
-    brace: SkewBrace
+    """maps[a][x] is gamma_a(x), one permutation of the elements per a."""
     maps: tuple[Perm, ...]
-
-    def apply(self, a: int, x: int) -> int:
-        return self.maps[a][x]
 
 
 def gamma(b: SkewBrace) -> GammaFunction:
@@ -125,7 +122,7 @@ def gamma(b: SkewBrace) -> GammaFunction:
     ct = b.circ.table
     inv = b.dot.inv
     maps = tuple(tuple(dt[inv[a]][ct[a][x]] for x in range(n)) for a in range(n))
-    return GammaFunction(brace=b, maps=maps)
+    return GammaFunction(maps=maps)
 
 
 @dataclass(frozen=True)
@@ -162,16 +159,6 @@ def left_ideal_status(b: SkewBrace, members: Iterable[int]) -> LeftIdealFlag:
                 return LeftIdealFlag(members=ms, is_left_ideal=False,
                                      failing_pair=(a, x), failure_kind="gamma")
     return LeftIdealFlag(members=ms, is_left_ideal=True)
-
-
-def is_left_ideal(b: SkewBrace, s: Subgroup) -> LeftIdealFlag:
-    """Left-ideal flag for a subgroup of the additive (dot) group."""
-    if s.parent != b.dot:
-        raise ValueError("subgroup does not belong to the additive group of this brace")
-    flag = left_ideal_status(b, s.members)
-    if flag.failure_kind == "dot-closure":
-        raise RuntimeError("dot-subgroup failed dot-closure; inputs are corrupt")
-    return flag
 
 
 @lru_cache(maxsize=1)

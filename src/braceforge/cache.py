@@ -83,11 +83,11 @@ def _verdict_entry(group: FiniteGroup, exhaustive: bool, cache_dir) -> tuple[Pat
     mode = "exhaustive" if exhaustive else "first"
     key = f"verdict:{__version__}:{group.label}:{table_digest(group)}:{mode}"
     name = hashlib.sha256(key.encode("utf-8")).hexdigest()[:32]
-    return resolve_cache_dir(cache_dir) / f"{name}.json", key
+    return Path(cache_dir) / f"{name}.json", key
 
 
 def cached_verdict(group: FiniteGroup, exhaustive: bool,
-                   cache_dir: str | os.PathLike | None = None) -> Verdict | None:
+                   cache_dir: str | os.PathLike) -> Verdict | None:
     """A stored bad verdict whose witness replays on this group, or None."""
     path, key = _verdict_entry(group, exhaustive, cache_dir)
     payload = _load_payload(path, key)
@@ -106,7 +106,7 @@ def cached_verdict(group: FiniteGroup, exhaustive: bool,
 
 
 def store_verdict(group: FiniteGroup, exhaustive: bool, verdict: Verdict,
-                  cache_dir: str | os.PathLike | None = None) -> None:
+                  cache_dir: str | os.PathLike) -> None:
     """Store a bad verdict; a good one has no witness to replay and is not kept."""
     if verdict.witness is None:
         return

@@ -20,7 +20,7 @@ from .census import CENSUS_MAX_ORDER, CensusCapError, census, census_lookup, lab
 from .classify import Verdict, first_failure, is_good, verify_theorem
 from .constructions import (brace_order4_nontrivial, example_c2cubed, example_cn_even,
                             example_p_odd, example_pq, example_q8)
-from .enumeration import enumerate_circ, mult_type_census, reduce_up_to_iso, with_mult_types
+from .enumeration import enumerate_circ, reduce_up_to_iso, with_mult_types
 from .groups import CayleyTableError, FiniteGroup, subgroups
 from .jsonio import (SchemaError, brace_from_obj, brace_to_obj, canonical_dumps,
                      enumeration_to_obj, group_from_obj, group_to_obj, loads, serialize,
@@ -131,7 +131,7 @@ def _cmd_brace_enumerate(args) -> int:
     print(f"operations: {enum.count}")
     if enum.iso_classes is not None:
         print(f"iso classes: {len(enum.iso_classes)}")
-    parts = [f"{label} x{count}" for label, count in sorted(mult_type_census(enum).items())]
+    parts = [f"{label} x{len(idx)}" for label, idx in enum.by_mult_type]
     print("by circ type: " + ", ".join(parts))
     return 0
 

@@ -171,12 +171,6 @@ def with_mult_types(enum: BraceEnumeration) -> BraceEnumeration:
     return replace(enum, by_mult_type=pairs)
 
 
-def mult_type_census(enum: BraceEnumeration) -> dict[str, int]:
-    """How many operations have each multiplicative isomorphism type."""
-    typed = enum if enum.by_mult_type is not None else with_mult_types(enum)
-    return {label: len(idx) for label, idx in typed.by_mult_type}
-
-
 def braces_with_mult_group(circ_type) -> list[SkewBrace]:
     """All braces (over every census additive group of matching order) whose
     multiplicative group is isomorphic to the given census entry's group."""

@@ -92,27 +92,15 @@ class FiniteGroup:
     def elements(self) -> range:
         return range(len(self.table))
 
-    def mul(self, a: int, b: int) -> int:
-        return self.table[a][b]
-
-    def inv_of(self, a: int) -> int:
-        return self.inv[a]
-
-    def conjugate(self, a: int, b: int) -> int:
-        """a * b * a^-1."""
-        return self.table[self.table[a][b]][self.inv[a]]
-
-    def element_order(self, a: int) -> int:
-        k = 1
-        x = a
-        while x != 0:
-            x = self.table[x][a]
-            k += 1
-        return k
-
     @cached_property
     def element_orders(self) -> tuple[int, ...]:
-        return tuple(self.element_order(a) for a in self.elements())
+        t, orders = self.table, []
+        for a in self.elements():
+            k, x = 1, a
+            while x != 0:
+                x, k = t[x][a], k + 1
+            orders.append(k)
+        return tuple(orders)
 
     @cached_property
     def generating_indices(self) -> tuple[int, ...]:
@@ -206,21 +194,9 @@ def make_abelian(factors: Sequence[int]) -> FiniteGroup:
 
 
 def direct_product(a: FiniteGroup, b: FiniteGroup, label: str = "") -> FiniteGroup:
-    """Pairs (x, y) encoded as x * b.order + y."""
-    na, nb = a.order, b.order
-    n = na * nb
-    rows = [[0] * n for _ in range(n)]
-    for x1 in range(na):
-        for y1 in range(nb):
-            e1 = x1 * nb + y1
-            row = rows[e1]
-            for x2 in range(na):
-                ax = a.table[x1][x2]
-                for y2 in range(nb):
-                    row[x2 * nb + y2] = ax * nb + b.table[y1][y2]
-    inv = tuple(a.inv[e // nb] * nb + b.inv[e % nb] for e in range(n))
-    return FiniteGroup(table=tuple(tuple(r) for r in rows), inv=inv,
-                       label=label or f"{a.label}x{b.label}")
+    """Pairs (x, y) encoded as x * b.order + y: `semidirect_product` with the trivial action."""
+    return semidirect_product(a, b, [identity_perm(a.order)] * b.order,
+                              label=label or f"{a.label}x{b.label}")
 
 
 def _dihedral_or_dicyclic(m: int, twist: int, label: str) -> FiniteGroup:
@@ -335,20 +311,8 @@ def closure_of(g: FiniteGroup, seed: Iterable[int]) -> tuple[int, ...]:
 
 @dataclass(frozen=True)
 class Subgroup:
-    parent: FiniteGroup
+    """The member indices, sorted, of a subgroup of the group that produced it."""
     members: tuple[int, ...]
-
-    @classmethod
-    def from_members(cls, parent: FiniteGroup, members: Iterable[int]) -> "Subgroup":
-        ms = tuple(sorted(set(members)))
-        if not ms or ms[0] != 0:
-            raise ValueError("a subgroup must contain the identity 0")
-        mset = set(ms)
-        for a in ms:
-            for b in ms:
-                if parent.table[a][b] not in mset:
-                    raise ValueError(f"set is not closed: {a}*{b} = {parent.table[a][b]} is outside")
-        return cls(parent=parent, members=ms)
 
     @property
     def order(self) -> int:
@@ -370,14 +334,14 @@ def _cyclic_generators(g: FiniteGroup) -> dict[frozenset[int], int]:
     return out
 
 
-def _ordered(g: FiniteGroup, sets: Iterable[Iterable[int]]) -> list[Subgroup]:
+def _ordered(sets: Iterable[Iterable[int]]) -> list[Subgroup]:
     ordered = sorted((tuple(sorted(m)) for m in sets), key=lambda m: (len(m), m))
-    return [Subgroup(parent=g, members=m) for m in ordered]
+    return [Subgroup(m) for m in ordered]
 
 
 def cyclic_subgroups(g: FiniteGroup) -> list[Subgroup]:
     """The cyclic subgroups, the trivial one included, in (size, members) order."""
-    return _ordered(g, [(0,), *_cyclic_generators(g)])
+    return _ordered([(0,), *_cyclic_generators(g)])
 
 
 def subgroups(g: FiniteGroup) -> list[Subgroup]:
@@ -413,9 +377,9 @@ def subgroups(g: FiniteGroup) -> list[Subgroup]:
             if key not in found:
                 found.add(key)
                 frontier.append((key, grown))
-    return _ordered(g, found)
+    return _ordered(found)
 
 
 def is_normal(g: FiniteGroup, s: Subgroup) -> bool:
-    mset = set(s.members)
-    return all(g.conjugate(a, b) in mset for a in g.elements() for b in s.members)
+    t, mset = g.table, set(s.members)
+    return all(t[t[a][b]][g.inv[a]] in mset for a in g.elements() for b in s.members)

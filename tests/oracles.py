@@ -167,20 +167,20 @@ def oracle_enumerate_circ(additive: FiniteGroup) -> list[Table]:
 
 
 def oracle_conjugacy_classes(g: FiniteGroup) -> list[tuple[int, ...]]:
-    n = g.order
+    n, t = g.order, g.table
     seen = [False] * n
     classes = []
     for a in range(n):
         if seen[a]:
             continue
-        cls = {g.conjugate(x, a) for x in range(n)}
+        cls = {t[t[x][a]][g.inv[x]] for x in range(n)}
         for b in cls:
             seen[b] = True
         classes.append(tuple(sorted(cls)))
     return sorted(classes)
 
 
-def oracle_element_order(g: FiniteGroup, a: int) -> int:
+def oracle_order_of(g: FiniteGroup, a: int) -> int:
     k, x = 1, a
     while x != 0:
         x = g.table[x][a]

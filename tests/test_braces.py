@@ -5,9 +5,8 @@ from __future__ import annotations
 import pytest
 
 from braceforge.braces import (BraceRelationError, BraceValidationError, SkewBrace,
-                               almost_trivial, brace_isomorphic, gamma, is_left_ideal,
-                               left_ideal_flags, left_ideal_status, left_ideals,
-                               trivial, validate)
+                               almost_trivial, brace_isomorphic, gamma, left_ideal_flags,
+                               left_ideal_status, left_ideals, trivial, validate)
 from braceforge.census import census, census_lookup
 from braceforge.groups import is_normal, make_cyclic, subgroups, transport
 from braceforge.perms import identity_perm
@@ -77,11 +76,10 @@ def test_gamma_of_trivial_brace_is_identity(census15):
 def test_gamma_of_almost_trivial_is_conjugation():
     g = census_lookup("S3")
     b = almost_trivial(g)
-    maps = gamma(b).maps
+    maps, t = gamma(b).maps, g.table
     for a in range(g.order):
         for x in range(g.order):
-            assert maps[a][x] == g.conjugate(g.inv[a], x)
-    assert gamma(b).apply(3, 1) == g.conjugate(g.inv[3], 1)
+            assert maps[a][x] == t[t[g.inv[a]][x]][a]  # a^-1 * x * a
 
 
 def test_left_ideal_status_requires_identity():
@@ -130,20 +128,6 @@ def test_left_ideal_flags_match_the_exact_scan(census_braces):
             lattice = [s.members for s in subgroups(g)]
             exact = [left_ideal_status(b, ms) for ms in lattice]
             assert list(left_ideal_flags(b, lattice)) == exact, b.label
-
-
-def test_is_left_ideal_rejects_foreign_subgroup():
-    b = trivial(census_lookup("C4"))
-    other = subgroups(census_lookup("C2xC2"))[0]
-    with pytest.raises(ValueError, match="does not belong"):
-        is_left_ideal(b, other)
-
-
-def test_is_left_ideal_matches_status():
-    g = census_lookup("Q8")
-    b = almost_trivial(g)
-    for s in subgroups(g):
-        assert is_left_ideal(b, s).is_left_ideal == left_ideal_status(b, s.members).is_left_ideal
 
 
 def _small_braces(braces_up_to_12, cap):

@@ -7,6 +7,7 @@ import json
 import re
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -376,11 +377,24 @@ def test_closed_stdout_exits_2_without_traceback():
     assert "Traceback" not in err and "Exception ignored" not in err, err
 
 
-def _assert_one_line_error(argv):
+def _assert_one_line_error(argv, timeout=None):
     proc = subprocess.run([sys.executable, "-m", "braceforge", *argv],
-                          capture_output=True, text=True)
+                          capture_output=True, text=True, timeout=timeout)
     assert proc.returncode == 2
     assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1, proc.stderr
+
+
+@pytest.mark.parametrize("argv", [["pq", "--p", "1000000007", "--q", "2"],
+                                  ["cn-even", "--n", "100000"],
+                                  ["pq", "--p", "7", "--q", "3", "--n", "3"],
+                                  ["p-odd", "--p", "3", "--n", "1000", "--m", "1000"]])
+def test_example_refuses_orders_above_the_cap(argv):
+    # uncapped, pq with p = 10^9 + 7 spins in least_kappa and the others
+    # start tables of at least 1029^2 entries; the timeout stops the child
+    # if the cap is ever lost
+    start = time.perf_counter()
+    _assert_one_line_error(["example", *argv], timeout=5)
+    assert time.perf_counter() - start < 1.0  # interpreter start-up included
 
 
 def test_unwritable_dot_path_exits_2_without_traceback(tmp_path):

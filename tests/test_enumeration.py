@@ -16,8 +16,7 @@ from braceforge import enumeration
 from braceforge.braces import almost_trivial, trivial, validate
 from braceforge.census import CensusCapError, census, census_label, census_lookup
 from braceforge.enumeration import (BraceEnumeration, braces_with_mult_group,
-                                    enumerate_circ, mult_type_census,
-                                    reduce_up_to_iso, with_mult_types)
+                                    enumerate_circ, reduce_up_to_iso, with_mult_types)
 from braceforge.groups import (CayleyTableError, FiniteGroup, make_abelian, make_cyclic,
                                relabel, transport)
 from braceforge.morphisms import are_isomorphic, automorphism_group
@@ -123,8 +122,8 @@ def test_enumeration_is_transport_equivariant(label, f):
 
 @pytest.mark.parametrize("label", sorted(EXPECTED_MULT_CENSUS))
 def test_mult_type_census(label):
-    enum = enumerate_circ(census_lookup(label))
-    assert mult_type_census(enum) == EXPECTED_MULT_CENSUS[label]
+    typed = with_mult_types(enumerate_circ(census_lookup(label)))
+    assert {t: len(idx) for t, idx in typed.by_mult_type} == EXPECTED_MULT_CENSUS[label]
 
 
 def test_with_mult_types_partitions_indices():

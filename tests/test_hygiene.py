@@ -2,13 +2,18 @@
 every private module-level name of the package is used somewhere in it, no
 package module imports another module's private name, only `jsonio` writes
 JSON, only `jsonio.loads` decodes it, no package module imports a process
-pool, every package name the benchmark child reads without a fallback
-exists, and a traced benchmark round of each workload reports every metric.
+pool, every public function, class and method of the package has a caller
+outside the unit tests or a stated reason, every package name the benchmark
+child reads without a fallback exists, and a traced benchmark round of each
+workload reports every metric.
 
 The scans are syntactic (ast): an imported name counts as used when it
 appears as a bare name anywhere in the module, in a quoted annotation, or in
 `__all__`; a private name counts as used when it is read, as a bare name or
-an attribute, or imported anywhere in the package outside its own definition.
+an attribute, or imported anywhere in the package outside its own definition;
+a public name counts as called when the same holds in the package outside
+`__init__`, or anywhere in the benchmark child or the acceptance gate, where
+a string constant (a name read through getattr) counts too.
 """
 
 from __future__ import annotations
@@ -248,6 +253,67 @@ def test_scan_sees_a_pool_import():
 
 
 CHILD = ROOT / "perfbench" / "child.py"
+CALLERS = [CHILD, ROOT / "tests" / "test_acceptance.py"]
+
+# public names whose only callers are unit tests, each kept for a reason
+UNCALLED_PUBLIC = {
+    "braces.brace_isomorphic": "the reference behind the tests' oracle_iso_partition",
+    "groups.closure_of": "used by the generating-set oracle",
+    "groups.transport": "the tests' relabelling helper",
+    "classify.direct_factor_witness": "waits for ROADMAP item 6",
+    "enumeration.braces_with_mult_group": "answers the dual question, braces by circ type",
+}
+
+
+def _public_definitions(tree: ast.Module):
+    """(name, node) for every public function and class defined at module
+    level, and (`Class.method`, node) for every public method of such a class."""
+    for node in tree.body:
+        if (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+                and not node.name.startswith("_")):
+            yield node.name, node
+            if isinstance(node, ast.ClassDef):
+                for item in node.body:
+                    if (isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
+                            and not item.name.startswith("_")):
+                        yield f"{node.name}.{item.name}", item
+
+
+def _uncalled(package: dict[str, ast.Module], callers: list[ast.Module]) -> list[str]:
+    """`module.name` for every public definition nothing calls: no reference
+    in the package outside the definition itself and `__init__`'s re-export,
+    and none, as a name or a string, in the callers."""
+    refs = sum((_references(t) for m, t in package.items() if m != "__init__.py"), Counter())
+    for tree in callers:
+        refs += _references(tree)
+        refs.update(n.value for n in ast.walk(tree)
+                    if isinstance(n, ast.Constant) and isinstance(n.value, str))
+    found = []
+    for module, tree in package.items():
+        for name, node in _public_definitions(tree):
+            short = name.rpartition(".")[2]
+            if refs[short] - _references(node)[short] == 0:
+                found.append(f"{module.removesuffix('.py')}.{name}")
+    return found
+
+
+def test_every_public_name_has_a_caller_or_a_reason():
+    package = {p.name: ast.parse(p.read_text(encoding="utf-8")) for p in PACKAGE}
+    callers = [ast.parse(p.read_text(encoding="utf-8")) for p in CALLERS]
+    found, allowed = set(_uncalled(package, callers)), set(UNCALLED_PUBLIC)
+    assert found == allowed, (f"only unit tests call {sorted(found - allowed)}; "
+                              f"allowlisted but called or gone: {sorted(allowed - found)}")
+
+
+def test_scan_sees_an_uncalled_public_name():
+    package = {"a.py": ast.parse("def f():\n    return f()\nclass C:\n"
+                                 "    def used(self):\n        return 1\n"
+                                 "    def unused(self):\n        return self.used()\n"
+                                 "    def _private(self):\n        pass\n"
+                                 "def g():\n    return 2\ndef h():\n    return C\n"),
+               "__init__.py": ast.parse("from .a import f, g\n__all__ = ['f', 'g']\n")}
+    callers = [ast.parse("import braceforge as bf\nbf.g()\ngetattr(bf, 'h')\n")]
+    assert _uncalled(package, callers) == ["a.f", "a.C.unused"]
 
 
 def _attribute_reads(tree: ast.Module, name: str) -> set[str]:
