@@ -7,9 +7,8 @@ and . is dot.  Everything downstream (gamma maps, left ideals) lives here.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, NamedTuple
 
 from .groups import FiniteGroup, Subgroup, subgroups
 from .morphisms import isomorphisms
@@ -28,11 +27,34 @@ class BraceRelationError(BraceValidationError):
         super().__init__(f"compatibility fails at (a, b, c) = ({a}, {b}, {c})")
 
 
-@dataclass(frozen=True)
 class SkewBrace:
-    dot: FiniteGroup
-    circ: FiniteGroup
-    label: str = field(default="", compare=False)
+    """The pair (dot, circ) of group tables on the same indices, and a label.
+
+    Frozen.  Equality and hash cover `dot` and `circ`, that is their tables
+    and inverses; `label` is a name only, and an instance of another class is
+    never equal.
+    """
+
+    def __init__(self, dot: FiniteGroup, circ: FiniteGroup, label: str = "") -> None:
+        object.__setattr__(self, "dot", dot)
+        object.__setattr__(self, "circ", circ)
+        object.__setattr__(self, "label", label)
+
+    def __setattr__(self, name: str, *value) -> None:
+        raise AttributeError(f"cannot assign or delete field {name!r} of a frozen instance")
+
+    __delattr__ = __setattr__
+
+    def __repr__(self) -> str:
+        return f"SkewBrace(dot={self.dot!r}, circ={self.circ!r}, label={self.label!r})"
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.dot, self.circ) == (other.dot, other.circ)
+
+    def __hash__(self) -> int:
+        return hash((self.dot, self.circ))
 
     @property
     def order(self) -> int:
@@ -104,8 +126,7 @@ def almost_trivial(g: FiniteGroup) -> SkewBrace:
     return validate(g, g.opposite(), label=f"almost-trivial({g.label})")
 
 
-@dataclass(frozen=True)
-class GammaFunction:
+class GammaFunction(NamedTuple):
     """maps[a][x] is gamma_a(x), one permutation of the elements per a."""
     maps: tuple[Perm, ...]
 
@@ -125,8 +146,7 @@ def gamma(b: SkewBrace) -> GammaFunction:
     return GammaFunction(maps=maps)
 
 
-@dataclass(frozen=True)
-class LeftIdealFlag:
+class LeftIdealFlag(NamedTuple):
     members: tuple[int, ...]
     is_left_ideal: bool
     failing_pair: tuple[int, int] | None = None

@@ -2,8 +2,8 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 from .groups import (FiniteGroup, make_abelian, make_alternating4, make_cyclic,
                      make_dicyclic, make_dihedral, make_quaternion8, relabel)
@@ -20,8 +20,7 @@ class CensusCapError(ValueError):
     """Requested order exceeds the supported census range."""
 
 
-@dataclass(frozen=True)
-class CensusEntry:
+class CensusEntry(NamedTuple):
     order: int
     label: str
     group: FiniteGroup

@@ -8,8 +8,7 @@ for prime divisors p, q of the order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from .braces import SkewBrace, left_ideal_flags, left_ideal_status, validate
 from .census import CENSUS_MAX_ORDER, census
@@ -18,8 +17,7 @@ from .groups import FiniteGroup, Subgroup, cyclic_subgroups, direct_product, sub
 from .morphisms import characteristic_subgroups
 
 
-@dataclass(frozen=True)
-class Witness:
+class Witness(NamedTuple):
     """A circ-subgroup that is not a left ideal, with the first failing pair.
 
     kind is "dot-closure" (dot[a][x] lands outside) or "gamma" (gamma_a(x)
@@ -31,8 +29,7 @@ class Witness:
     kind: str
 
 
-@dataclass(frozen=True)
-class Verdict:
+class Verdict(NamedTuple):
     group_label: str
     good: bool
     witness: Witness | None
@@ -153,16 +150,14 @@ def theorem_predicate(group: FiniteGroup) -> bool:
     return False
 
 
-@dataclass(frozen=True)
-class TheoremRow:
+class TheoremRow(NamedTuple):
     label: str
     order: int
     predicted: bool
     computed: bool
 
 
-@dataclass(frozen=True)
-class TheoremReport:
+class TheoremReport(NamedTuple):
     max_order: int
     rows: tuple[TheoremRow, ...]
     all_match: bool
@@ -193,22 +188,19 @@ def verify_theorem(max_order: int = CENSUS_MAX_ORDER, *, exhaustive: bool = Fals
 # One-sided heuristics
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class SubgroupCountSignal:
+class SubgroupCountSignal(NamedTuple):
     """circ has more subgroups of some order than dot: the brace must be bad."""
     order: int
     circ_count: int
     dot_count: int
 
 
-@dataclass(frozen=True)
-class ContainmentSignal:
+class ContainmentSignal(NamedTuple):
     """Equal total subgroup counts but a dot-subgroup missing from circ: bad."""
     members: tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class CharacteristicMatchSignal:
+class CharacteristicMatchSignal(NamedTuple):
     """#characteristic dot-subgroups equals #circ-subgroups: all are left ideals."""
     count: int
 

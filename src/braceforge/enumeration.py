@@ -16,8 +16,6 @@ never formed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-
 from .braces import BraceValidationError, SkewBrace, validate
 from .census import CENSUS_MAX_ORDER, CensusCapError, census, label_or_unknown
 from .groups import FiniteGroup
@@ -27,12 +25,45 @@ from .perms import Perm, compose, identity_perm, invert, perm_order
 Table = tuple[tuple[int, ...], ...]
 
 
-@dataclass(frozen=True)
 class BraceEnumeration:
-    additive: FiniteGroup
-    operations: tuple[SkewBrace, ...]
-    iso_classes: tuple[tuple[int, ...], ...] | None = None
-    by_mult_type: tuple[tuple[str, tuple[int, ...]], ...] | None = None
+    """Every compatible operation on `additive`, with the partitions computed so far.
+
+    Frozen.  Equality and hash cover all four fields; an instance of another
+    class is never equal.  Written by hand rather than as a NamedTuple so
+    that it can be weakly referenced.
+    """
+
+    def __init__(self, additive: FiniteGroup, operations: tuple[SkewBrace, ...],
+                 iso_classes: tuple[tuple[int, ...], ...] | None = None,
+                 by_mult_type: tuple[tuple[str, tuple[int, ...]], ...] | None = None) -> None:
+        object.__setattr__(self, "additive", additive)
+        object.__setattr__(self, "operations", operations)
+        object.__setattr__(self, "iso_classes", iso_classes)
+        object.__setattr__(self, "by_mult_type", by_mult_type)
+
+    def __setattr__(self, name: str, *value) -> None:
+        raise AttributeError(f"cannot assign or delete field {name!r} of a frozen instance")
+
+    __delattr__ = __setattr__
+
+    def __repr__(self) -> str:
+        return (f"BraceEnumeration(additive={self.additive!r}, operations={self.operations!r}, "
+                f"iso_classes={self.iso_classes!r}, by_mult_type={self.by_mult_type!r})")
+
+    def _key(self) -> tuple:
+        return self.additive, self.operations, self.iso_classes, self.by_mult_type
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def _replace(self, **changes) -> "BraceEnumeration":
+        """A new enumeration with the given fields changed, as `NamedTuple._replace`."""
+        return BraceEnumeration(**{**vars(self), **changes})
 
     @property
     def count(self) -> int:
@@ -160,7 +191,7 @@ def reduce_up_to_iso(enum: BraceEnumeration) -> BraceEnumeration:
             orbit.add(j)
             seen[j] = True
         classes.append(tuple(sorted(orbit)))
-    return replace(enum, iso_classes=tuple(classes))
+    return enum._replace(iso_classes=tuple(classes))
 
 
 def with_mult_types(enum: BraceEnumeration) -> BraceEnumeration:
@@ -168,7 +199,7 @@ def with_mult_types(enum: BraceEnumeration) -> BraceEnumeration:
     for i, b in enumerate(enum.operations):
         by_type.setdefault(label_or_unknown(b.circ), []).append(i)
     pairs = tuple(sorted((label, tuple(idx)) for label, idx in by_type.items()))
-    return replace(enum, by_mult_type=pairs)
+    return enum._replace(by_mult_type=pairs)
 
 
 def braces_with_mult_group(circ_type) -> list[SkewBrace]:

@@ -7,10 +7,9 @@ table[a][b] = a*b.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
 from functools import cached_property
 from itertools import chain
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .perms import compose, identity_perm, is_permutation
 
@@ -19,11 +18,36 @@ class CayleyTableError(ValueError):
     """A table fails one of the group axioms."""
 
 
-@dataclass(frozen=True)
 class FiniteGroup:
-    table: tuple[tuple[int, ...], ...]
-    inv: tuple[int, ...]
-    label: str = field(default="", compare=False)
+    """A group on 0..n-1: its Cayley table, its inverses and a display label.
+
+    Frozen.  Equality and hash cover `table` and `inv` only, so a relabelled
+    group equals the original; an instance of another class is never equal.
+    Written by hand rather than as a NamedTuple because the cached properties
+    below need an instance `__dict__`.
+    """
+
+    def __init__(self, table: tuple[tuple[int, ...], ...], inv: tuple[int, ...],
+                 label: str = "") -> None:
+        object.__setattr__(self, "table", table)
+        object.__setattr__(self, "inv", inv)
+        object.__setattr__(self, "label", label)
+
+    def __setattr__(self, name: str, *value) -> None:
+        raise AttributeError(f"cannot assign or delete field {name!r} of a frozen instance")
+
+    __delattr__ = __setattr__
+
+    def __repr__(self) -> str:
+        return f"FiniteGroup(table={self.table!r}, inv={self.inv!r}, label={self.label!r})"
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.table, self.inv) == (other.table, other.inv)
+
+    def __hash__(self) -> int:
+        return hash((self.table, self.inv))
 
     @classmethod
     def from_table(cls, rows: Sequence[Sequence[int]], label: str = "") -> "FiniteGroup":
@@ -147,7 +171,8 @@ class FiniteGroup:
 
 
 def relabel(g: FiniteGroup, label: str) -> FiniteGroup:
-    return replace(g, label=label)
+    """A fresh group with g's table and inverses; no cached property carries over."""
+    return FiniteGroup(g.table, g.inv, label)
 
 
 def transport_table(t: Sequence[Sequence[int]], f: Sequence[int]) -> tuple[tuple[int, ...], ...]:
@@ -309,8 +334,7 @@ def closure_of(g: FiniteGroup, seed: Iterable[int]) -> tuple[int, ...]:
     return tuple(sorted(members))
 
 
-@dataclass(frozen=True)
-class Subgroup:
+class Subgroup(NamedTuple):
     """The member indices, sorted, of a subgroup of the group that produced it."""
     members: tuple[int, ...]
 

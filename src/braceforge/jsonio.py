@@ -44,7 +44,10 @@ def canonical_dumps(obj: Any) -> str:
     of what the library writes, is one `str.join`; everything else follows
     the stdlib encoder's rules (ASCII-escaped strings, NaN and Infinity,
     tuples as arrays).  Keys must be strings, as in everything the library
-    writes; the stdlib would convert numbers, bools and None.
+    writes; the stdlib would convert numbers, bools and None.  Only exact
+    lists and tuples are arrays: a record (a NamedTuple) that reaches the
+    writer unconverted raises TypeError, where the stdlib would write its
+    fields as an array.
     """
     out: list[str] = []
     _write(obj, "\n", out)
@@ -74,7 +77,7 @@ def _write(v: Any, nl: str, out: list[str]) -> None:
         out.append(int.__repr__(v))
     elif isinstance(v, float):
         out.append(_float_text(v))
-    elif isinstance(v, (list, tuple)):
+    elif type(v) is list or type(v) is tuple:
         if not v:
             out.append("[]")
             return

@@ -19,7 +19,6 @@ increasing order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterator, Sequence
 
@@ -82,11 +81,35 @@ def automorphism_group(g: FiniteGroup) -> tuple[Perm, ...]:
     return tuple(isomorphisms(g, g))
 
 
-@dataclass(frozen=True)
 class Isomorphism:
-    source: FiniteGroup
-    target: FiniteGroup
-    map: tuple[int, ...]
+    """A map between two groups, checked to be an isomorphism when built.
+
+    Frozen.  Equality and hash cover `source`, `target` and `map`; an
+    instance of another class is never equal.
+    """
+
+    def __init__(self, source: FiniteGroup, target: FiniteGroup, map: tuple[int, ...]) -> None:
+        object.__setattr__(self, "source", source)
+        object.__setattr__(self, "target", target)
+        object.__setattr__(self, "map", map)
+        self.__post_init__()
+
+    def __setattr__(self, name: str, *value) -> None:
+        raise AttributeError(f"cannot assign or delete field {name!r} of a frozen instance")
+
+    __delattr__ = __setattr__
+
+    def __repr__(self) -> str:
+        return (f"Isomorphism(source={self.source!r}, target={self.target!r}, "
+                f"map={self.map!r})")
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.source, self.target, self.map) == (other.source, other.target, other.map)
+
+    def __hash__(self) -> int:
+        return hash((self.source, self.target, self.map))
 
     def __post_init__(self) -> None:
         m = self.map

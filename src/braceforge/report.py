@@ -20,8 +20,8 @@ group they generate is the single image set {gamma_a(x) : a}:
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 from . import __version__
 from .braces import LeftIdealFlag, SkewBrace, gamma_reach, left_ideal_flags
@@ -30,8 +30,7 @@ from .groups import FiniteGroup, subgroups
 from .perms import invert
 
 
-@dataclass(frozen=True)
-class HGDescriptor:
+class HGDescriptor(NamedTuple):
     type_label: str
     galois_label: str
     gamma_orbits: tuple[tuple[int, ...], ...]
@@ -108,8 +107,7 @@ def render_dot(d: HGDescriptor) -> str:
     return "\n".join(lines) + "\n"
 
 
-@dataclass(frozen=True)
-class ReportBundle:
+class ReportBundle(NamedTuple):
     descriptor: HGDescriptor
     input_sha256: str
     tool_version: str

@@ -8,7 +8,6 @@ from __future__ import annotations
 import gc
 import weakref
 from collections import Counter
-from dataclasses import replace
 
 import pytest
 
@@ -203,7 +202,7 @@ def test_orbit_walk_refuses_an_enumeration_missing_an_operation():
     dropped = max(enum.iso_classes, key=len)[-1]
     ops = enum.operations[:dropped] + enum.operations[dropped + 1:]
     with pytest.raises(RuntimeError, match="left the enumeration"):
-        reduce_up_to_iso(replace(enum, operations=ops, iso_classes=None))
+        reduce_up_to_iso(enum._replace(operations=ops, iso_classes=None))
 
 
 def test_enumeration_capped_at_15():

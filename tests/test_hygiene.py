@@ -2,10 +2,11 @@
 every private module-level name of the package is used somewhere in it, no
 package module imports another module's private name, only `jsonio` writes
 JSON, only `jsonio.loads` decodes it, no package module imports a process
-pool, every public function, class and method of the package has a caller
-outside the unit tests or a stated reason, every package name the benchmark
-child reads without a fallback exists, and a traced benchmark round of each
-workload reports every metric.
+pool or `dataclasses` (and importing the CLI loads neither `dataclasses` nor
+`inspect`), every public function, class and method of the package has a
+caller outside the unit tests or a stated reason, every package name the
+benchmark child reads without a fallback exists, and a traced benchmark
+round of each workload reports every metric.
 
 The scans are syntactic (ast): an imported name counts as used when it
 appears as a bare name anywhere in the module, in a quoted annotation, or in
@@ -222,6 +223,12 @@ POOL_MODULES = ("concurrent.futures", "multiprocessing")
 def _pool_imports(tree: ast.Module) -> list[str]:
     """`line N: module` for every import statement that reaches a process-pool
     module, naming the first pool module it reaches."""
+    return _imports_reaching(tree, POOL_MODULES)
+
+
+def _imports_reaching(tree: ast.Module, modules: tuple[str, ...]) -> list[str]:
+    """`line N: module` for every import statement that reaches one of
+    `modules` or a submodule of it, naming the first it reaches."""
     found = []
     for node in ast.walk(tree):
         if isinstance(node, ast.Import):
@@ -231,7 +238,7 @@ def _pool_imports(tree: ast.Module) -> list[str]:
         else:
             continue
         hit = next((m for m in names
-                    if any(m == p or m.startswith(p + ".") for p in POOL_MODULES)), None)
+                    if any(m == p or m.startswith(p + ".") for p in modules)), None)
         if hit is not None:
             found.append(f"line {node.lineno}: {hit}")
     return found
@@ -250,6 +257,37 @@ def test_scan_sees_a_pool_import():
                      "import concurrency\nfrom . import multiprocessing\n")
     assert _pool_imports(tree) == ["line 1: multiprocessing.pool", "line 2: concurrent.futures",
                                    "line 4: concurrent.futures"]
+
+
+# `dataclasses` pulls in `inspect`, and each frozen dataclass execs its
+# generated methods: together about a third of `import braceforge.cli`,
+# which every CLI process pays.  Records are NamedTuples instead.
+IMPORT_TIME_MODULES = ("dataclasses", "inspect")
+
+
+@pytest.mark.parametrize("path", PACKAGE, ids=lambda p: p.name)
+def test_no_dataclasses_import(path):
+    found = _imports_reaching(ast.parse(path.read_text(encoding="utf-8")), ("dataclasses",))
+    assert not found, f"{path.name} imports dataclasses: {found}"
+
+
+def test_scan_sees_a_dataclasses_import():
+    tree = ast.parse("import os, dataclasses as dc\nfrom dataclasses import field\n"
+                     "def f():\n    from dataclasses import replace\n"
+                     "import dataclasses_json\nfrom . import dataclasses\n")
+    assert _imports_reaching(tree, ("dataclasses",)) == [
+        "line 1: dataclasses", "line 2: dataclasses", "line 4: dataclasses"]
+
+
+def test_cli_import_loads_neither_dataclasses_nor_inspect():
+    # -S: modules that the environment's .pth files import are not the package's
+    code = ("import sys, braceforge.cli; "
+            f"print(sorted(set({IMPORT_TIME_MODULES!r}) & set(sys.modules)))")
+    proc = subprocess.run([sys.executable, "-S", "-c", code], cwd=ROOT,
+                          env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    assert proc.stdout == "[]\n", f"import braceforge.cli loads {proc.stdout.strip()}"
 
 
 CHILD = ROOT / "perfbench" / "child.py"

@@ -3,14 +3,13 @@
 from __future__ import annotations
 
 import json
-from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from braceforge.braces import BraceRelationError, trivial
+from braceforge.braces import BraceRelationError, LeftIdealFlag, trivial
 from braceforge.census import census_lookup
-from braceforge.classify import is_good, verify_theorem
+from braceforge.classify import TheoremRow, is_good, verify_theorem
 from braceforge.constructions import example_q8
 from braceforge.groups import FiniteGroup
 from braceforge.jsonio import (BUNDLE_SCHEMA, SchemaError, brace_from_obj,
@@ -49,6 +48,17 @@ def test_canonical_dumps_matches_the_stdlib_encoder(value):
 def test_canonical_dumps_refuses_what_it_cannot_write():
     for bad in ({1: 0}, {None: 0}, {"x": {1, 2}}, [object()]):
         with pytest.raises(TypeError):
+            canonical_dumps(bad)
+
+
+def test_canonical_dumps_refuses_records():
+    # a NamedTuple is a tuple, but a record reaching the writer unconverted is
+    # a bug: it must not come out as a bare array of its fields
+    records = (is_good(census_lookup("Q8")),
+               [LeftIdealFlag(members=(0,), is_left_ideal=True)],
+               TheoremRow(label="C2", order=2, predicted=True, computed=True))
+    for bad in records:
+        with pytest.raises(TypeError, match="Verdict|LeftIdealFlag|TheoremRow"):
             canonical_dumps(bad)
 
 
@@ -219,7 +229,7 @@ def test_descriptor_from_obj_rejects_bad_failure_kind():
 
 
 def test_bundle_serialize_parse_round_trip():
-    bundle = replace(report_bundle(example_q8()), timing_ms=3.25)
+    bundle = report_bundle(example_q8())._replace(timing_ms=3.25)
     data = serialize(bundle)
     assert data == serialize(bundle)
     back = parse(data)
