@@ -40,7 +40,7 @@ def resolve_cache_dir(explicit: str | os.PathLike | None = None) -> Path:
 
 
 def table_digest(g: FiniteGroup) -> str:
-    return hashlib.sha256(repr(g.table).encode("ascii")).hexdigest()
+    return hashlib.sha256(g._table_text.encode("ascii")).hexdigest()
 
 
 def _atomic_write(path: Path, data: bytes) -> None:

@@ -44,8 +44,13 @@ def _load_json_file(path: str):
 
 
 def _resolve_group(target: str) -> FiniteGroup:
-    """A census label, or a path to a group JSON file."""
-    if Path(target).is_file():
+    """A census label, or a path to a group JSON file.
+
+    Any existing path that is not a directory is read as a file, so a pipe
+    such as /dev/stdin is read, not looked up as a label.
+    """
+    path = Path(target)
+    if path.exists() and not path.is_dir():
         try:
             return group_from_obj(_load_json_file(target))
         except (SchemaError, CayleyTableError) as exc:

@@ -143,6 +143,11 @@ class FiniteGroup:
         return tuple(gens)
 
     @cached_property
+    def _table_text(self) -> str:
+        """repr(table), the text the content digests hash; built once per group."""
+        return repr(self.table)
+
+    @cached_property
     def is_abelian(self) -> bool:
         t = self.table
         n = self.order

@@ -14,7 +14,9 @@ entry, carried back along f^-1 and re-sorted by (size, members) is exactly
 Orbits.  The maps gamma_a are the image of a homomorphism from a finite
 group, so they are closed under composition, and the orbit of x under the
 group they generate is the single image set {gamma_a(x) : a}:
-`braces.gamma_reach(b)[x]`.
+`braces.gamma_reach(b)[x]`.  The same homomorphism makes that group the one
+generated by the gamma_g of the circ-generators g, so `gamma_reach` walks
+each orbit under those few maps and never builds all n gamma maps.
 """
 
 from __future__ import annotations
@@ -89,20 +91,41 @@ def render_dot(d: HGDescriptor) -> str:
 
     Nodes are the circ-subgroups in canonical order; edges are covering
     relations only.  Left ideals are drawn solid, the rest dashed.
+
+    Covers by bitmask.  The nodes are sorted by (size, members), so every
+    node strictly inside node j comes before it.  The nodes before j are
+    scanned from the last down, and a node i inside j is kept as a cover
+    unless it lies inside a node already kept.  A node strictly between i
+    and j is larger than i, so it was scanned first and is kept or lies
+    inside a kept node: the kept nodes are exactly the covers of j.  The
+    edges are emitted by i, each i's with j ascending, which is the (i, j)
+    order of the edges.
     """
-    nodes = [set(e.members) for e in d.lattice]
     lines = ["digraph hg_lattice {", "  rankdir=BT;"]
+    masks = []
     for i, e in enumerate(d.lattice):
         label = "{" + ",".join(str(m) for m in e.members) + "}"
         style = "solid" if e.is_left_ideal else "dashed"
         lines.append(f'  n{i} [label="{label}" style={style}];')
-    for i, a in enumerate(nodes):
-        for j, b in enumerate(nodes):
-            if i == j or not a < b:
+        mask = 0
+        for m in e.members:
+            mask |= 1 << m
+        masks.append(mask)
+    covered_by: list[list[int]] = [[] for _ in masks]
+    for j, mj in enumerate(masks):
+        kept: list[int] = []
+        for i in range(j - 1, -1, -1):
+            mi = masks[i]
+            if mi & mj != mi:
                 continue
-            if any(k != i and k != j and a < nodes[k] < b for k in range(len(nodes))):
-                continue
-            lines.append(f"  n{i} -> n{j};")
+            for mk in kept:
+                if mi & mk == mi:
+                    break
+            else:
+                kept.append(mi)
+                covered_by[i].append(j)
+    for i, above in enumerate(covered_by):
+        lines.extend(f"  n{i} -> n{j};" for j in above)
     lines.append("}")
     return "\n".join(lines) + "\n"
 
@@ -115,8 +138,11 @@ class ReportBundle(NamedTuple):
 
 
 def brace_digest(b: SkewBrace) -> str:
-    """Content hash of the two tables (labels excluded)."""
-    payload = repr((b.dot.table, b.circ.table)).encode("ascii")
+    """Content hash of the two tables (labels excluded): the SHA-256 of
+    repr((dot.table, circ.table)).  The dot table's text is built once per
+    group, since many braces share one additive group; the circ table's text
+    is built per call, so nothing is kept per brace."""
+    payload = f"({b.dot._table_text}, {b.circ.table!r})".encode("ascii")
     return hashlib.sha256(payload).hexdigest()
 
 

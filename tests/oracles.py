@@ -352,6 +352,27 @@ def oracle_hg_descriptor(b: SkewBrace) -> HGDescriptor:
                         classical=b.is_trivial, canonical_nonclassical=b.is_almost_trivial)
 
 
+def oracle_render_dot(d: HGDescriptor) -> str:
+    """The DOT Hasse diagram with covers by definition: an edge i -> j for every
+    pair of nodes with i strictly inside j and no third node strictly
+    between them, found by testing every k, in (i, j) order."""
+    nodes = [set(e.members) for e in d.lattice]
+    lines = ["digraph hg_lattice {", "  rankdir=BT;"]
+    for i, e in enumerate(d.lattice):
+        label = "{" + ",".join(str(m) for m in e.members) + "}"
+        style = "solid" if e.is_left_ideal else "dashed"
+        lines.append(f'  n{i} [label="{label}" style={style}];')
+    for i, a in enumerate(nodes):
+        for j, b in enumerate(nodes):
+            if i == j or not a < b:
+                continue
+            if any(k != i and k != j and a < nodes[k] < b for k in range(len(nodes))):
+                continue
+            lines.append(f"  n{i} -> n{j};")
+    lines.append("}")
+    return "\n".join(lines) + "\n"
+
+
 def oracle_first_failure(b: SkewBrace) -> Witness | None:
     """The exact left-ideal scan over the whole circ lattice, in (size,
     members) order, stopping at the first circ-subgroup that fails."""

@@ -4,13 +4,16 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 import re
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import pytest
 
+import braceforge
 from braceforge import __version__
 from braceforge.cli import main
 from braceforge.constructions import example_q8
@@ -375,6 +378,26 @@ def test_closed_stdout_exits_2_without_traceback():
     proc.stderr.close()
     assert proc.wait() == 2
     assert "Traceback" not in err and "Exception ignored" not in err, err
+
+
+@pytest.mark.parametrize("command", [["classify"], ["group", "show"], ["brace", "enumerate"]])
+def test_group_file_piped_through_dev_stdin_reads_as_a_file(tmp_path, command):
+    # /dev/stdin on a pipe exists but is not a regular file
+    path = tmp_path / "g.json"
+    path.write_text(canonical_dumps(group_to_obj(example_q8().dot)))
+
+    # run in tmp_path, so that classify's default cache directory lands there
+    env = dict(os.environ, PYTHONPATH=str(Path(braceforge.__file__).parent.parent))
+
+    def call(target, stdin):
+        return subprocess.run([sys.executable, "-m", "braceforge", *command, target],
+                              input=stdin, capture_output=True, text=True, cwd=tmp_path,
+                              env=env)
+
+    from_file = call(str(path), "")
+    piped = call("/dev/stdin", path.read_text())
+    assert from_file.returncode == 0, from_file.stderr
+    assert (piped.returncode, piped.stdout, piped.stderr) == (0, from_file.stdout, "")
 
 
 def _assert_one_line_error(argv, timeout=None):

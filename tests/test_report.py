@@ -2,14 +2,18 @@
 
 from __future__ import annotations
 
+import hashlib
 import importlib
 import json
 
 import pytest
 
 import braceforge
-from braceforge.braces import almost_trivial, trivial
+from braceforge import braces
+from braceforge.braces import almost_trivial, gamma, gamma_reach, trivial
+from braceforge.cache import table_digest
 from braceforge.census import census, census_label, census_lookup, census_match
+from braceforge.classify import first_failure
 from braceforge.constructions import (brace_order4_nontrivial, example_c2cubed,
                                       example_cn_even, example_p_odd, example_pq,
                                       example_q8)
@@ -20,7 +24,7 @@ from braceforge.morphisms import Isomorphism, are_isomorphic
 from braceforge.report import (ReportBundle, brace_digest, gamma_orbits, hg_descriptor,
                                render_dot, report_bundle)
 
-from oracles import oracle_conjugacy_classes, oracle_hg_descriptor
+from oracles import oracle_conjugacy_classes, oracle_hg_descriptor, oracle_render_dot
 
 
 def test_trivial_braces_are_classical_and_bijective():
@@ -176,7 +180,7 @@ def _assert_matches_oracle(b):
                                           input_sha256=brace_digest(b),
                                           tool_version=braceforge.__version__))
     assert data == (json.dumps(json.loads(data), sort_keys=True, indent=2) + "\n").encode()
-    assert render_dot(d) == render_dot(oracle_hg_descriptor(b))
+    assert render_dot(d) == oracle_render_dot(oracle_hg_descriptor(b))
 
 
 def test_descriptor_matches_oracle_on_every_census_brace(census_braces):
@@ -189,6 +193,58 @@ def test_descriptor_matches_oracle_on_every_census_brace(census_braces):
 def test_descriptor_matches_oracle_beyond_the_census(b):
     assert census_match(b.circ) is None
     _assert_matches_oracle(b)
+
+
+# Order 16, past the census cap: C2^4 has 67 subgroups, the largest lattice here.
+# Both groups are abelian, so each almost-trivial brace has the trivial one's
+# tables, and only its label differs.
+ORDER_16 = [make(make_abelian(factors)) for factors in ([2, 2, 2, 2], [4, 2, 2])
+            for make in (trivial, almost_trivial)]
+
+
+@pytest.mark.parametrize("b", ORDER_16, ids=lambda b: b.label)
+def test_render_dot_matches_the_cover_oracle_at_order_16(b):
+    d = hg_descriptor(b)
+    assert len(d.lattice) == {"C2xC2xC2xC2": 67, "C4xC2xC2": 27}[b.dot.label]
+    assert render_dot(d) == oracle_render_dot(d)
+
+
+def _reach_by_definition(b):
+    """reach[x] as the OR of 1 << gamma_a(x) over every a."""
+    reach = [0] * b.order
+    for m in gamma(b).maps:
+        for x, y in enumerate(m):
+            reach[x] |= 1 << y
+    return tuple(reach)
+
+
+def test_gamma_reach_matches_its_definition(census_braces):
+    examples = [make() for make in BUILDERS.values()]
+    for b in census_braces + BEYOND_CENSUS + ORDER_16 + examples:
+        assert gamma_reach(b) == _reach_by_definition(b), b.label
+
+
+def test_descriptor_and_first_failure_never_build_gamma(monkeypatch, census_braces):
+    def no_gamma(b):
+        raise AssertionError("braces.gamma called")
+
+    monkeypatch.setattr(braces, "gamma", no_gamma)
+    for b in census_braces + BEYOND_CENSUS:
+        gamma_reach.cache_clear()
+        hg_descriptor(b)
+        gamma_reach.cache_clear()
+        first_failure(b)
+
+
+def test_digests_hash_the_table_text(census_braces):
+    # cache keys and the golden input_sha256 depend on these bytes
+    for b in census_braces:
+        text = repr((b.dot.table, b.circ.table))
+        assert brace_digest(b) == hashlib.sha256(text.encode("ascii")).hexdigest(), b.label
+    groups = [e.group for e in census()]
+    assert len(groups) == 28
+    for g in groups:
+        assert table_digest(g) == hashlib.sha256(repr(g.table).encode("ascii")).hexdigest()
 
 
 def test_labelling_and_lattice_share_one_isomorphism_search(monkeypatch):
