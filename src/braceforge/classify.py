@@ -4,6 +4,10 @@ A group N is "good" when, for every compatible circ operation, every subgroup
 of the circ group is a left ideal.  The closed-form predicate says this holds
 exactly for C2, C2xC2, and odd-order cyclic groups with q never dividing p - 1
 for prime divisors p, q of the order.
+
+`is_good` scans the braces as the holomorph search streams them, so deciding
+that a group is bad in first-failure mode searches for and gates only the
+braces up to the first bad one; `--exhaustive` still scans them all.
 """
 
 from __future__ import annotations
@@ -12,7 +16,7 @@ from typing import Iterable, NamedTuple
 
 from .braces import SkewBrace, left_ideal_flags, left_ideal_status, validate
 from .census import CENSUS_MAX_ORDER, census
-from .enumeration import enumerate_circ
+from .enumeration import iter_circ
 from .groups import FiniteGroup, Subgroup, cyclic_subgroups, direct_product, subgroups
 from .morphisms import characteristic_subgroups
 
@@ -91,25 +95,27 @@ def first_failure(b: SkewBrace) -> Witness | None:
 
 def is_good(group: FiniteGroup, *, exhaustive: bool = False,
             cache_dir=None) -> Verdict:
-    """Sweep every compatible circ operation; stop at the first bad brace unless
-    `exhaustive` forces the full scan (the recorded witness is the first failure
-    either way).  With a cache_dir, a stored bad verdict is used once its witness
-    replays."""
+    """Scan the compatible circ operations as `iter_circ` streams them, in
+    enumeration order.  First-failure mode stops at the first bad brace, so the
+    search and its table gates stop there too; `exhaustive` consumes the whole
+    stream (the recorded witness is the first failure either way).  With a
+    cache_dir, a stored bad verdict is used once its witness replays."""
     if cache_dir is not None:
         from .cache import cached_verdict, store_verdict
         hit = cached_verdict(group, exhaustive, cache_dir)
         if hit is not None:
             return hit
-    verdict = _scan_enumeration(group, enumerate_circ(group), exhaustive)
+    verdict = _scan_enumeration(group, iter_circ(group), exhaustive)
     if cache_dir is not None:
         store_verdict(group, exhaustive, verdict, cache_dir)
     return verdict
 
 
-def _scan_enumeration(group: FiniteGroup, enum, exhaustive: bool) -> Verdict:
+def _scan_enumeration(group: FiniteGroup, braces: Iterable[SkewBrace],
+                      exhaustive: bool) -> Verdict:
     witness = None
     examined = 0
-    for b in enum.operations:
+    for b in braces:
         examined += 1
         found = first_failure(b)
         if witness is None and found is not None:
@@ -169,7 +175,8 @@ class TheoremReport(NamedTuple):
 def verify_theorem(max_order: int = CENSUS_MAX_ORDER, *, exhaustive: bool = False,
                    cache_dir=None, workers: int = 1) -> TheoremReport:
     """Compare the computed verdict with the closed-form predicate on every census
-    group up to max_order, in census order.
+    group up to max_order, in census order.  Each verdict comes from `is_good`,
+    so in first-failure mode a bad group's search stops at its first bad brace.
 
     The sweep runs in one process.  `workers` is accepted for compatibility
     and unused: a process pool measured slower than one process at every

@@ -12,9 +12,16 @@ point and whose order divides n.  A bucket is built the first time the search
 picks its slot and kept until the search ends.  A slot that products of
 earlier choices always fill is never picked, so its |Aut| candidates are
 never formed.
+
+The search is a generator, and `iter_circ` gates each table as it arrives, so
+a caller that stops at the first brace it wants (a first-failure `is_good`)
+neither searches for nor gates the rest.  `enumerate_circ` holds the whole
+stream.
 """
 
 from __future__ import annotations
+
+from typing import Iterator
 
 from .braces import BraceValidationError, SkewBrace, validate
 from .census import CENSUS_MAX_ORDER, CensusCapError, census, label_or_unknown
@@ -70,7 +77,7 @@ class BraceEnumeration:
         return len(self.operations)
 
 
-def _regular_subgroup_tables(g: FiniteGroup) -> list[Table]:
+def _regular_subgroup_tables(g: FiniteGroup) -> Iterator[Table]:
     n = g.order
     gens = g.generating_indices
     ident = identity_perm(n)
@@ -91,8 +98,6 @@ def _regular_subgroup_tables(g: FiniteGroup) -> list[Table]:
             found.sort()
             buckets[t] = found
         return found
-
-    results: list[Table] = []
 
     def try_extend(cov: list[Perm | None], chosen: tuple[Perm, ...]) -> list[Perm | None] | None:
         # the subgroup so far is closed under every chosen element but the
@@ -117,39 +122,47 @@ def _regular_subgroup_tables(g: FiniteGroup) -> list[Table]:
 
     # Two tables first differ at a chosen slot, which is the least empty one,
     # and each bucket is sorted, so the tables come out sorted and distinct.
-    def search(cov: list[Perm | None], chosen: tuple[Perm, ...]) -> None:
+    def search(cov: list[Perm | None], chosen: tuple[Perm, ...]) -> Iterator[Table]:
         if None not in cov:
-            results.append(tuple(cov))
+            yield tuple(cov)
             return
         for h in bucket(cov.index(None)):
             grown = chosen + (h,)
             ext = try_extend(cov, grown)
             if ext is not None:
-                search(ext, grown)
+                yield from search(ext, grown)
 
-    search([ident] + [None] * (n - 1), ())
-    return results
+    yield from search([ident] + [None] * (n - 1), ())
+
+
+def iter_circ(additive: FiniteGroup) -> Iterator[SkewBrace]:
+    """The braces of `enumerate_circ`, one at a time, as the search finds them.
+
+    Each table is gated as it arrives, by `FiniteGroup.from_table` and then
+    `validate`; a failure there is an internal fault, not an input error.  A
+    caller that stops early leaves the rest of the search undone and ungated.
+    The order cap is checked at the first step.
+    """
+    if additive.order > CENSUS_MAX_ORDER:
+        raise CensusCapError(f"enumeration is capped at order {CENSUS_MAX_ORDER}")
+    for i, t in enumerate(_regular_subgroup_tables(additive)):
+        circ = FiniteGroup.from_table(t, label=f"{additive.label}-circ{i}")
+        try:
+            b = validate(additive, circ, label=f"{additive.label}-op{i}")
+        except BraceValidationError as exc:  # an internal fault
+            raise RuntimeError(f"search table failed validation: {exc}") from exc
+        yield b
 
 
 def enumerate_circ(additive: FiniteGroup) -> BraceEnumeration:
     """All circ tables forming a skew brace with the given additive group.
 
-    Operations come back sorted by circ table, the order in which the search
-    finds them, so the order is canonical.  Every table the search gives is
-    validated; a failure there is an internal fault, not an input error.
-    Enumerations are not memoized within a process: each call searches
-    again, and a caller who needs one twice holds it.
+    The whole stream of `iter_circ`, held.  Operations come back sorted by
+    circ table, the order in which the search finds them, so the order is
+    canonical.  Enumerations are not memoized within a process: each call
+    searches again, and a caller who needs one twice holds it.
     """
-    if additive.order > CENSUS_MAX_ORDER:
-        raise CensusCapError(f"enumeration is capped at order {CENSUS_MAX_ORDER}")
-    ops = []
-    for i, t in enumerate(_regular_subgroup_tables(additive)):
-        circ = FiniteGroup.from_table(t, label=f"{additive.label}-circ{i}")
-        try:
-            ops.append(validate(additive, circ, label=f"{additive.label}-op{i}"))
-        except BraceValidationError as exc:  # an internal fault
-            raise RuntimeError(f"search table failed validation: {exc}") from exc
-    return BraceEnumeration(additive=additive, operations=tuple(ops))
+    return BraceEnumeration(additive=additive, operations=tuple(iter_circ(additive)))
 
 
 def reduce_up_to_iso(enum: BraceEnumeration) -> BraceEnumeration:

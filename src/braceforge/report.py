@@ -45,13 +45,18 @@ class HGDescriptor(NamedTuple):
 def gamma_orbits(b: SkewBrace) -> tuple[tuple[int, ...], ...]:
     """Orbits of the group generated by all gamma maps, sorted by least member:
     the distinct reach masks as member tuples, each first met at its least
-    member (Orbits)."""
+    member (Orbits).  Members are read off each mask's set bits, lowest first."""
     seen: set[int] = set()
     orbits = []
     for mask in gamma_reach(b):
         if mask not in seen:
             seen.add(mask)
-            orbits.append(tuple(x for x in range(b.order) if mask >> x & 1))
+            members = []
+            while mask:
+                low = mask & -mask
+                members.append(low.bit_length() - 1)
+                mask ^= low
+            orbits.append(tuple(members))
     return tuple(orbits)
 
 

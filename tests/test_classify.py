@@ -10,8 +10,8 @@ from oracles import oracle_first_failure
 from braceforge import braces, enumeration
 from braceforge.braces import almost_trivial, left_ideals, trivial, validate
 from braceforge.census import CensusCapError, census_label, census_labels, census_lookup
-from braceforge.classify import (c_group_check, direct_factor_witness, first_failure,
-                                 heuristic_characteristic_count,
+from braceforge.classify import (_scan_enumeration, c_group_check, direct_factor_witness,
+                                 first_failure, heuristic_characteristic_count,
                                  heuristic_subgroup_containment,
                                  heuristic_subgroup_count, is_good,
                                  replay_witness, theorem_predicate, verify_theorem,
@@ -76,6 +76,33 @@ def test_exhaustive_mode_scans_every_operation(monkeypatch):
     v = is_good(g, exhaustive=True)
     assert len(calls) == v.braces_examined == enumerate_circ(g).count == 232
     assert not v.good and v.exhaustive
+
+
+def test_first_failure_gates_only_the_braces_it_scans(monkeypatch, census15):
+    # the search streams into the scan: no table past the first bad brace is
+    # validated (over the census, 56 validated where the whole search gives 498)
+    real = enumeration.validate
+    calls = 0
+
+    def counting(*args, **kwargs):
+        nonlocal calls
+        calls += 1
+        return real(*args, **kwargs)
+    monkeypatch.setattr(enumeration, "validate", counting)
+    examined = 0
+    for e in census15:
+        calls = 0
+        v = is_good(e.group)
+        assert calls == v.braces_examined, e.label
+        examined += v.braces_examined
+    assert examined == 56
+
+
+@pytest.mark.parametrize("exhaustive", [False, True])
+def test_streamed_verdicts_match_a_scan_of_the_held_enumeration(census15, exhaustive):
+    for e in census15:
+        held = _scan_enumeration(e.group, enumerate_circ(e.group).operations, exhaustive)
+        assert is_good(e.group, exhaustive=exhaustive) == held, e.label
 
 
 @pytest.fixture(scope="module")

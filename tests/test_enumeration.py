@@ -14,6 +14,7 @@ import pytest
 from braceforge import enumeration
 from braceforge.braces import almost_trivial, trivial, validate
 from braceforge.census import CensusCapError, census, census_label, census_lookup
+from braceforge.classify import is_good
 from braceforge.enumeration import (BraceEnumeration, braces_with_mult_group,
                                     enumerate_circ, reduce_up_to_iso, with_mult_types)
 from braceforge.groups import (CayleyTableError, FiniteGroup, make_abelian, make_cyclic,
@@ -96,7 +97,7 @@ def test_search_yields_tables_in_sorted_order(census15):
     # the search fills the least empty slot from a sorted bucket, so tables
     # first differ at a chosen slot and come out sorted with no sort step
     for e in census15:
-        tables = enumeration._regular_subgroup_tables(e.group)
+        tables = list(enumeration._regular_subgroup_tables(e.group))
         assert tables == sorted(set(tables)), e.label
 
 
@@ -220,16 +221,16 @@ def _corrupt_search(monkeypatch, corrupt):
     monkeypatch.setattr(enumeration, "_regular_subgroup_tables", corrupted)
 
 
-def _swap_two_entries(tables):
-    row = tables[-1][1]
+def _swap_two_entries(tables, at=-1):
+    row = tables[at][1]
     row[1], row[2] = row[2], row[1]
 
 
-def _foreign_group(tables):
+def _foreign_group(tables, at=-1):
     # C4 relabelled by 1 <-> 2 is a group, but not compatible with additive C4
     foreign = [list(r) for r in transport(census_lookup("C4"), (0, 2, 1, 3)).table]
     assert foreign not in tables
-    tables[-1] = foreign
+    tables[at] = foreign
 
 
 @pytest.mark.parametrize("corrupt, error", [(_swap_two_entries, CayleyTableError),
@@ -240,6 +241,17 @@ def test_enumeration_gate_rejects_a_corrupted_search_table(monkeypatch, corrupt,
     _corrupt_search(monkeypatch, corrupt)
     with pytest.raises(error):
         enumerate_circ(g)
+
+
+@pytest.mark.parametrize("corrupt, error", [(_swap_two_entries, CayleyTableError),
+                                            (_foreign_group, RuntimeError)])
+def test_first_failure_is_good_gates_the_first_streamed_table(monkeypatch, corrupt, error):
+    # is_good scans the stream as it arrives, so the gate must run before the
+    # scan sees even the first table
+    g = relabel(census_lookup("C4"), "C4-fault")
+    _corrupt_search(monkeypatch, lambda tables: corrupt(tables, at=0))
+    with pytest.raises(error):
+        is_good(g)
 
 
 def test_search_composes_fewer_than_aut_squared_times(monkeypatch):
@@ -254,7 +266,7 @@ def test_search_composes_fewer_than_aut_squared_times(monkeypatch):
         calls += 1
         return real(p, q)
     monkeypatch.setattr(enumeration, "compose", counting)
-    assert len(enumeration._regular_subgroup_tables(g)) == EXPECTED["C2xC2xC2"][0]
+    assert len(list(enumeration._regular_subgroup_tables(g))) == EXPECTED["C2xC2xC2"][0]
     assert calls < len(automorphism_group(g)) ** 2
 
 
@@ -272,7 +284,7 @@ def test_buckets_are_built_only_for_slots_the_search_picks(monkeypatch, census15
     skipped = 0
     for e in census15:
         built.clear()
-        enumeration._regular_subgroup_tables(e.group)
+        list(enumeration._regular_subgroup_tables(e.group))
         aut = len(automorphism_group(e.group))
         picked = oracle_search_slots(e.group)
         assert built == {t: aut for t in picked}, e.label

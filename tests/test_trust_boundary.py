@@ -19,19 +19,20 @@ from braceforge.cli import main
 
 @pytest.fixture(scope="module", autouse=True)
 def held_enumerations():
-    """Hold each group's enumeration for this module: the property below
-    re-classifies the same groups on every example.  The key has the label,
-    since operation labels are built from it and group equality ignores it."""
-    real = classify.enumerate_circ
+    """Hold each group's braces for this module and stream them from there:
+    the property below re-classifies the same groups on every example.  The
+    key has the label, since operation labels are built from it and group
+    equality ignores it."""
+    real = classify.iter_circ
     held = {}
 
-    def enumerate_once(g):
+    def stream_held(g):
         key = (g.label, g.table)
         if key not in held:
-            held[key] = real(g)
-        return held[key]
+            held[key] = tuple(real(g))
+        return iter(held[key])
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(classify, "enumerate_circ", enumerate_once)
+        mp.setattr(classify, "iter_circ", stream_held)
         yield
 
 
