@@ -11,7 +11,6 @@ from functools import lru_cache
 from typing import Iterable, Iterator, NamedTuple
 
 from .groups import FiniteGroup, Subgroup, subgroups
-from .morphisms import isomorphisms
 from .perms import Perm, compose
 
 
@@ -245,27 +244,3 @@ def left_ideals(b: SkewBrace) -> list[Subgroup]:
     flags = left_ideal_flags(b, (s.members for s in subs))
     return [s for s, flag in zip(subs, flags) if flag.is_left_ideal]
 
-
-def brace_isomorphic(x: SkewBrace, y: SkewBrace) -> tuple[int, ...] | None:
-    """The least bijection fixing 0 preserving both tables, or None.
-
-    Candidate images of the dot-generators must match on the (dot order,
-    circ order) profile.  Of the dot-isomorphisms, in increasing order, the
-    first that also agrees on every circ edge (a, g), for g a
-    circ-generator, preserves circ too (the walk lemma of `morphisms`).
-    """
-    n = x.order
-    if y.order != n:
-        return None
-    prof_x = [(x.dot.element_orders[a], x.circ.element_orders[a]) for a in range(n)]
-    prof_y = [(y.dot.element_orders[a], y.circ.element_orders[a]) for a in range(n)]
-    if sorted(prof_x) != sorted(prof_y):
-        return None
-    gens = x.dot.generating_indices
-    candidates = [[b for b in range(n) if prof_y[b] == prof_x[g]] for g in gens]
-    xc = x.circ.table
-    yc = y.circ.table
-    cgens = x.circ.generating_indices
-    return next((f for f in isomorphisms(x.dot, y.dot, candidates)
-                 if all(f[xc[a][g]] == yc[f[a]][f[g]] for a in range(n) for g in cgens)),
-                None)

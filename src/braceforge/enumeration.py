@@ -24,7 +24,7 @@ from __future__ import annotations
 from typing import Iterator
 
 from .braces import BraceValidationError, SkewBrace, validate
-from .census import CENSUS_MAX_ORDER, CensusCapError, census, label_or_unknown
+from .census import CENSUS_MAX_ORDER, CensusCapError, label_or_unknown
 from .groups import FiniteGroup
 from .morphisms import automorphism_group
 from .perms import Perm, compose, identity_perm, invert, perm_order
@@ -214,16 +214,3 @@ def with_mult_types(enum: BraceEnumeration) -> BraceEnumeration:
     pairs = tuple(sorted((label, tuple(idx)) for label, idx in by_type.items()))
     return enum._replace(by_mult_type=pairs)
 
-
-def braces_with_mult_group(circ_type) -> list[SkewBrace]:
-    """All braces (over every census additive group of matching order) whose
-    multiplicative group is isomorphic to the given census entry's group."""
-    out = []
-    for entry in census(CENSUS_MAX_ORDER):
-        if entry.order != circ_type.order:
-            continue
-        enum = with_mult_types(enumerate_circ(entry.group))
-        for label, idx in enum.by_mult_type:
-            if label == circ_type.label:
-                out.extend(enum.operations[i] for i in idx)
-    return out

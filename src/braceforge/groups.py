@@ -180,26 +180,6 @@ def relabel(g: FiniteGroup, label: str) -> FiniteGroup:
     return FiniteGroup(g.table, g.inv, label)
 
 
-def transport_table(t: Sequence[Sequence[int]], f: Sequence[int]) -> tuple[tuple[int, ...], ...]:
-    """The table t carried along the bijection f: row f[a], column f[b] holds f[t[a][b]]."""
-    n = len(t)
-    rows = [[0] * n for _ in range(n)]
-    for a in range(n):
-        row, ta = rows[f[a]], t[a]
-        for b in range(n):
-            row[f[b]] = f[ta[b]]
-    return tuple(map(tuple, rows))
-
-
-def transport(g: FiniteGroup, bij: Sequence[int], label: str = "") -> FiniteGroup:
-    """Carry the group structure along a bijection with bij[0] == 0."""
-    if len(bij) != g.order or not is_permutation(bij):
-        raise ValueError("transport map must be a permutation of the element indices")
-    if bij[0] != 0:
-        raise ValueError("transport map must fix the identity index 0")
-    return FiniteGroup.from_table(transport_table(g.table, bij), label=label or f"{g.label}~")
-
-
 # ---------------------------------------------------------------------------
 # Constructors
 # ---------------------------------------------------------------------------
@@ -325,18 +305,6 @@ def _close(t: tuple[tuple[int, ...], ...], members: set[int], frontier: list[int
             if p not in members:
                 members.add(p)
                 frontier.append(p)
-
-
-def closure_of(g: FiniteGroup, seed: Iterable[int]) -> tuple[int, ...]:
-    """Subgroup generated by the seed elements, as a sorted index tuple.
-
-    {0} is closed under right multiplication by the seed, which gives every
-    word in the seed elements.  In a finite group that is the whole subgroup
-    they generate: each inverse is a positive power.
-    """
-    members = {0}
-    _close(g.table, members, [0], tuple(dict.fromkeys(seed)))
-    return tuple(sorted(members))
 
 
 class Subgroup(NamedTuple):

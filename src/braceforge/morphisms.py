@@ -20,31 +20,29 @@ increasing order.
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Iterator, Sequence
+from typing import Iterator
 
 from .groups import FiniteGroup, Subgroup, subgroups
 from .perms import Perm
 
 
-def isomorphisms(src: FiniteGroup, dst: FiniteGroup,
-                 candidates: Sequence[Sequence[int]] | None = None) -> Iterator[tuple[int, ...]]:
+def isomorphisms(src: FiniteGroup, dst: FiniteGroup) -> Iterator[tuple[int, ...]]:
     """Every isomorphism src -> dst, in increasing order (Lemma 2).
 
-    candidates[k] lists the images to try for src.generating_indices[k], in
-    increasing order; by default the dst elements of the same element order.
-    After each image is chosen, {0} is walked along right multiplication by
-    the generators chosen so far, and the branch is pruned on a clash
-    (f(x*g) already set to something else) or a repeated image.  A walk over
-    all generators reaches every element and checks every edge, so by
-    Lemma 1 each map it completes is an isomorphism.
+    The images tried for each of src.generating_indices are the dst elements
+    of the same element order, in increasing order.  After each image is
+    chosen, {0} is walked along right multiplication by the generators
+    chosen so far, and the branch is pruned on a clash (f(x*g) already set
+    to something else) or a repeated image.  A walk over all generators
+    reaches every element and checks every edge, so by Lemma 1 each map it
+    completes is an isomorphism.
     """
     n = src.order
     if dst.order != n:
         return
     gens = src.generating_indices
-    if candidates is None:
-        so, do = src.element_orders, dst.element_orders
-        candidates = [[y for y in dst.elements() if do[y] == so[g]] for g in gens]
+    so, do = src.element_orders, dst.element_orders
+    candidates = [[y for y in dst.elements() if do[y] == so[g]] for g in gens]
     st, dt = src.table, dst.table
 
     def search(imgs: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
@@ -113,6 +111,9 @@ class Isomorphism:
 
     def __post_init__(self) -> None:
         m = self.map
+        if len(m) != self.source.order or len(m) != self.target.order:
+            raise ValueError(f"isomorphism map has {len(m)} entries between groups of "
+                             f"order {self.source.order} and {self.target.order}")
         if m[0] != 0 or sorted(m) != list(range(len(m))):
             raise ValueError("isomorphism map must be a bijection fixing 0")
         for a in self.source.elements():

@@ -3,25 +3,65 @@
 Everything here trades speed for obviousness: subsets are tested directly,
 subgroups are grown one element at a time, bijections are tried exhaustively
 or searched pair by pair.  Keep the inputs small.
+
+Two helpers are not oracles but live here because only tests need them: the
+pairwise brace-isomorphism search `brace_isomorphic`, against which the
+Aut-orbit reduction of `reduce_up_to_iso` is checked, and the relabelling
+helpers `transport_table` and `transport`, which carry a table or a group
+along a bijection.
 """
 
 from __future__ import annotations
 
 from itertools import combinations, permutations
-from typing import Iterable
+from typing import Iterable, Sequence
 
 from braceforge.braces import (BraceRelationError, BraceValidationError, SkewBrace,
-                               brace_isomorphic, gamma, left_ideal_status, validate)
+                               gamma, left_ideal_status, validate)
 from braceforge.census import CENSUS_MAX_ORDER, CensusCapError, census
 from braceforge.classify import Witness
-from braceforge.groups import (CayleyTableError, FiniteGroup, closure_of, subgroups,
-                               transport_table)
-from braceforge.morphisms import are_isomorphic, automorphism_group
+from braceforge.groups import CayleyTableError, FiniteGroup, subgroups
+from braceforge.morphisms import are_isomorphic, automorphism_group, isomorphisms
+from braceforge.perms import is_permutation
 from braceforge.report import HGDescriptor
 
 ORACLE_MAX_ORDER = 6
 
 Table = tuple[tuple[int, ...], ...]
+
+
+def transport_table(t: Sequence[Sequence[int]], f: Sequence[int]) -> Table:
+    """The table t carried along the bijection f: row f[a], column f[b] holds f[t[a][b]]."""
+    n = len(t)
+    rows = [[0] * n for _ in range(n)]
+    for a in range(n):
+        row, ta = rows[f[a]], t[a]
+        for b in range(n):
+            row[f[b]] = f[ta[b]]
+    return tuple(map(tuple, rows))
+
+
+def transport(g: FiniteGroup, bij: Sequence[int], label: str = "") -> FiniteGroup:
+    """Carry the group structure along a bijection with bij[0] == 0."""
+    if len(bij) != g.order or not is_permutation(bij):
+        raise ValueError("transport map must be a permutation of the element indices")
+    if bij[0] != 0:
+        raise ValueError("transport map must fix the identity index 0")
+    return FiniteGroup.from_table(transport_table(g.table, bij), label=label or f"{g.label}~")
+
+
+def brace_isomorphic(x: SkewBrace, y: SkewBrace) -> tuple[int, ...] | None:
+    """The least bijection fixing 0 preserving both tables, or None.
+
+    Of the dot-isomorphisms, in increasing order, the first that also agrees
+    on every circ edge (a, g), for g a circ-generator, preserves circ too
+    (the walk lemma of `braceforge.morphisms`).
+    """
+    xc, yc = x.circ.table, y.circ.table
+    cgens = x.circ.generating_indices
+    return next((f for f in isomorphisms(x.dot, y.dot)
+                 if all(f[xc[a][g]] == yc[f[a]][f[g]] for a in range(x.order) for g in cgens)),
+                None)
 
 
 def oracle_subgroups(g: FiniteGroup) -> list[tuple[int, ...]]:
@@ -245,13 +285,13 @@ def oracle_validate(dot: FiniteGroup, circ: FiniteGroup, label: str = "") -> Ske
 
 def oracle_generating_indices(g: FiniteGroup) -> tuple[int, ...]:
     """The greedy generating set by its first definition: adjoin the least
-    element outside closure_of the set so far."""
+    element outside the subgroup generated by the set so far."""
     gens: list[int] = []
     closed = {0}
     for a in g.elements():
         if a not in closed:
             gens.append(a)
-            closed = set(closure_of(g, gens))
+            closed = set(oracle_closure_of(g, gens))
             if len(closed) == g.order:
                 break
     return tuple(gens)

@@ -5,13 +5,13 @@ from __future__ import annotations
 import pytest
 
 from braceforge.braces import (BraceRelationError, BraceValidationError, SkewBrace,
-                               almost_trivial, brace_isomorphic, gamma, left_ideal_flags,
-                               left_ideal_status, left_ideals, trivial, validate)
+                               almost_trivial, gamma, left_ideal_flags, left_ideal_status,
+                               left_ideals, trivial, validate)
 from braceforge.census import census, census_lookup
-from braceforge.groups import is_normal, make_cyclic, subgroups, transport
+from braceforge.groups import is_normal, make_cyclic, subgroups
 from braceforge.perms import identity_perm
 
-from oracles import oracle_brace_isomorphic, oracle_validate
+from oracles import brace_isomorphic, oracle_brace_isomorphic, oracle_validate, transport
 
 
 @pytest.mark.parametrize("label", ["C1", "C6", "S3", "Q8", "A4"])

@@ -20,7 +20,9 @@ from braceforge.cache import (CACHE_DIR_ENV, DEFAULT_CACHE_DIR, cached_verdict,
 from braceforge.census import census_lookup
 from braceforge.classify import is_good
 from braceforge.cli import main
-from braceforge.groups import FiniteGroup, transport
+from braceforge.groups import FiniteGroup
+
+from oracles import transport
 
 
 def test_resolve_cache_dir_precedence(monkeypatch, tmp_path):

@@ -16,11 +16,11 @@ from braceforge.census import (CENSUS_MAX_ORDER, CensusCapError, EXPECTED_COUNTS
                                census_match,
                                label_or_unknown)
 from braceforge.groups import (FiniteGroup, make_abelian, make_cyclic,
-                               make_quaternion8, semidirect_product, transport)
+                               make_quaternion8, semidirect_product)
 from braceforge.morphisms import are_isomorphic, automorphism_group, invariants
 from braceforge.perms import identity_perm, perm_order
 
-from oracles import oracle_label
+from oracles import oracle_label, transport
 
 census_module = importlib.import_module("braceforge.census")  # the package exports census()
 

@@ -166,7 +166,7 @@ def test_brace_check_valid(capsys, tmp_path):
 
 def test_brace_check_reports_violating_triple(capsys, tmp_path):
     # no brace pairs a prime-order group with a relabeled copy of itself
-    from braceforge.groups import transport
+    from oracles import transport
     c5 = make_cyclic(5)
     obj = {"order": 5, "label": "broken",
            "dot": [list(r) for r in c5.table],

@@ -6,7 +6,7 @@ from __future__ import annotations
 
 import pytest
 
-from braceforge.braces import brace_isomorphic, left_ideal_status, validate
+from braceforge.braces import left_ideal_status, validate
 from braceforge.census import census_label, label_or_unknown
 from braceforge.constructions import (brace_order4_nontrivial, example_c2cubed,
                                       example_cn_even, example_p_odd, example_pq,
@@ -17,6 +17,7 @@ from braceforge.morphisms import are_isomorphic
 from gamma_checks import (check_c2cubed_gamma, check_cn_even_gamma,
                           check_order4_gamma, check_p_odd_gamma, check_pq_gamma,
                           check_q8_gamma)
+from oracles import brace_isomorphic
 
 
 def test_q8_types_and_gamma():

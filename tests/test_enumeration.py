@@ -15,13 +15,14 @@ from braceforge import enumeration
 from braceforge.braces import almost_trivial, trivial, validate
 from braceforge.census import CensusCapError, census, census_label, census_lookup
 from braceforge.classify import is_good
-from braceforge.enumeration import (BraceEnumeration, braces_with_mult_group,
-                                    enumerate_circ, reduce_up_to_iso, with_mult_types)
+from braceforge.enumeration import (BraceEnumeration, enumerate_circ, reduce_up_to_iso,
+                                    with_mult_types)
 from braceforge.groups import (CayleyTableError, FiniteGroup, make_abelian, make_cyclic,
-                               relabel, transport)
-from braceforge.morphisms import are_isomorphic, automorphism_group
+                               relabel)
+from braceforge.morphisms import automorphism_group
 
-from oracles import oracle_enumerate_circ, oracle_orbit_partition, oracle_search_slots
+from oracles import (brace_isomorphic, oracle_enumerate_circ, oracle_orbit_partition,
+                     oracle_search_slots, transport)
 
 # (label, operation count, isomorphism class count); summed per order, the
 # class counts 1 1 1 4 1 6 1 47 4 6 1 38 1 6 1 are Guarnieri-Vendramin's
@@ -145,7 +146,6 @@ def test_reduce_up_to_iso_v4_classes():
 
 
 def test_iso_classes_partition_and_separate():
-    from braceforge.braces import brace_isomorphic
     enum = reduce_up_to_iso(enumerate_circ(census_lookup("S3")))
     flat = [i for cls in enum.iso_classes for i in cls]
     assert sorted(flat) == list(range(enum.count))
@@ -299,12 +299,29 @@ def test_enumerate_circ_keeps_no_enumeration_alive():
     assert held() is None
 
 
-def test_braces_with_mult_group_q8():
-    q8 = census_lookup("Q8")
-    found = braces_with_mult_group(q8)
-    assert len(found) == 21
-    assert all(census_label(b.circ) == "Q8" for b in found)
-    dot_types = {b.dot.label for b in found}
-    assert dot_types == {"C8", "C4xC2", "C2xC2xC2", "D8", "Q8"}
-    for b in found:
-        assert are_isomorphic(b.circ, q8) is not None
+
+def _hopf_galois_count(g_label: str, n_label: str) -> int:
+    """e(G, N), the number of Hopf-Galois structures of type N on a Galois
+    G-extension, by Byott's translation: |Aut G| / |Aut N| times e'(G, N),
+    the number of circ tables on N whose circ group is G."""
+    n = census_lookup(n_label)
+    e_prime = len(dict(with_mult_types(enumerate_circ(n)).by_mult_type).get(g_label, ()))
+    count, rest = divmod(len(automorphism_group(census_lookup(g_label))) * e_prime,
+                         len(automorphism_group(n)))
+    assert rest == 0, (g_label, n_label)
+    return count
+
+
+@pytest.mark.parametrize("g_label, n_label, expected", [
+    # Byott 2004, order pq with p = 1 mod q, here q = 2: e(C, C) = 1,
+    # e(C, D) = 2(q - 1), e(D, C) = p, e(D, D) = 2 + 2p(q - 2)
+    *[case for p, c, d in [(3, "C6", "S3"), (5, "C10", "D10"), (7, "C14", "D14")]
+      for case in [(c, c, 1), (c, d, 2), (d, c, p), (d, d, 2)]],
+    # Kohl 1998: a cyclic extension of degree p^n has p^(n-1) structures, all cyclic
+    ("C9", "C9", 3), ("C9", "C3xC3", 0),
+    # Byott 1996: exactly one structure when gcd(n, phi(n)) = 1
+    *[(f"C{n}", f"C{n}", 1) for n in (3, 5, 7, 11, 13, 15)],
+])
+def test_hopf_galois_counts_match_the_literature(g_label, n_label, expected):
+    # reads only the enumeration and the circ labels: no left-ideal scan, no predicate
+    assert _hopf_galois_count(g_label, n_label) == expected

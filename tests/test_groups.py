@@ -2,17 +2,16 @@ import pytest
 
 from oracles import (oracle_center, oracle_closure_of, oracle_order_of,
                      oracle_from_table, oracle_generating_indices,
-                     oracle_layered_subgroups, oracle_subgroups)
+                     oracle_layered_subgroups, oracle_subgroups, transport)
 
 from braceforge import groups
 from braceforge.census import census_lookup
 from braceforge.enumeration import enumerate_circ
-from braceforge.groups import (CayleyTableError, FiniteGroup, Subgroup, closure_of,
-                               cyclic_subgroups,
+from braceforge.groups import (CayleyTableError, FiniteGroup, Subgroup, cyclic_subgroups,
                                direct_product, is_normal, make_abelian,
                                make_alternating4, make_cyclic, make_dicyclic,
                                make_dihedral, make_quaternion8, relabel,
-                               semidirect_product, subgroups, transport)
+                               semidirect_product, subgroups)
 
 
 # ---------------------------------------------------------------------------
@@ -269,7 +268,7 @@ def test_subgroups_joins_at_most_lattice_times_cyclic(monkeypatch, label):
     closure per (subgroup, element) pair would be 44 > 6 * 5; on C2xC2xC2 each
     element generates its own cyclic subgroup, so the two counts coincide."""
     g = census_lookup(label)
-    cyclic = {closure_of(g, [a]) for a in g.elements()} - {(0,)}
+    cyclic = {oracle_closure_of(g, [a]) for a in g.elements()} - {(0,)}
     close = groups._close
     joins = 0
 
@@ -283,24 +282,9 @@ def test_subgroups_joins_at_most_lattice_times_cyclic(monkeypatch, label):
     assert 0 < joins <= len(lattice) * len(cyclic)
 
 
-def test_closure_of_matches_two_sided_closure(census15):
-    for e in census15:
-        g = e.group
-        for a in g.elements():
-            for b in g.elements():
-                assert closure_of(g, [a, b]) == oracle_closure_of(g, [a, b]), (e.label, a, b)
-
-
 def test_subgroups_sorted_by_size_then_members():
     subs = [s.members for s in subgroups(make_dihedral(8))]
     assert subs == sorted(subs, key=lambda m: (len(m), m))
-
-
-def test_closure_of():
-    g = make_dihedral(8)
-    assert closure_of(g, [1]) == (0, 1, 2, 3)
-    assert closure_of(g, []) == (0,)
-    assert closure_of(g, [1, 4]) == tuple(range(8))
 
 
 def test_is_normal():

@@ -295,11 +295,7 @@ CALLERS = [CHILD, ROOT / "tests" / "test_acceptance.py"]
 
 # public names whose only callers are unit tests, each kept for a reason
 UNCALLED_PUBLIC = {
-    "braces.brace_isomorphic": "the reference behind the tests' oracle_iso_partition",
-    "groups.closure_of": "used by the generating-set oracle",
-    "groups.transport": "the tests' relabelling helper",
     "classify.direct_factor_witness": "waits for ROADMAP item 6",
-    "enumeration.braces_with_mult_group": "answers the dual question, braces by circ type",
 }
 
 

@@ -1,10 +1,10 @@
 import pytest
 
-from oracles import oracle_automorphisms
+from oracles import oracle_automorphisms, transport
 
 from braceforge.census import census_lookup
 from braceforge.groups import (direct_product, make_abelian, make_cyclic, make_dicyclic,
-                               make_dihedral, make_quaternion8, transport)
+                               make_dihedral, make_quaternion8)
 from braceforge.morphisms import (Isomorphism, are_isomorphic, automorphism_group,
                                   characteristic_subgroups, isomorphisms)
 from braceforge.perms import compose
@@ -12,13 +12,8 @@ from braceforge.perms import compose
 
 def test_isomorphisms_extends_generator_image():
     g = make_cyclic(4)
-    assert list(isomorphisms(g, g, candidates=[[3]])) == [(0, 3, 2, 1)]  # inversion
-
-
-def test_isomorphisms_prunes_conflict():
-    g = make_cyclic(4)
-    # 1 has order 4, 2 has order 2: no homomorphic extension is injective
-    assert list(isomorphisms(g, g, candidates=[[2]])) == []
+    # the generator 1 goes to 1 or 3, the elements of order 4; 2 is never tried
+    assert list(isomorphisms(g, g)) == [(0, 1, 2, 3), (0, 3, 2, 1)]  # identity, inversion
 
 
 def test_automorphisms_match_oracle(census15):
@@ -104,6 +99,13 @@ def test_isomorphism_rejects_lying_map():
     g = make_cyclic(4)
     with pytest.raises(ValueError):
         Isomorphism(source=g, target=g, map=(0, 2, 1, 3))
+
+
+@pytest.mark.parametrize("source, target, m", [(1, 2, (0, 1)), (2, 2, (0, 1, 2)),
+                                               (4, 2, (0, 1))])
+def test_isomorphism_rejects_a_map_of_the_wrong_length(source, target, m):
+    with pytest.raises(ValueError, match="entries"):
+        Isomorphism(source=make_cyclic(source), target=make_cyclic(target), map=m)
 
 
 @pytest.mark.parametrize("label, expected", [

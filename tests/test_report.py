@@ -18,13 +18,14 @@ from braceforge.constructions import (brace_order4_nontrivial, example_c2cubed,
                                       example_cn_even, example_p_odd, example_pq,
                                       example_q8)
 from braceforge.groups import (direct_product, make_abelian, make_cyclic, make_dicyclic,
-                               make_dihedral, relabel, subgroups, transport)
+                               make_dihedral, relabel, subgroups)
 from braceforge.jsonio import serialize
 from braceforge.morphisms import Isomorphism, are_isomorphic
 from braceforge.report import (ReportBundle, brace_digest, gamma_orbits, hg_descriptor,
                                render_dot, report_bundle)
 
-from oracles import oracle_conjugacy_classes, oracle_hg_descriptor, oracle_render_dot
+from oracles import (oracle_conjugacy_classes, oracle_hg_descriptor, oracle_render_dot,
+                     transport)
 
 
 def test_trivial_braces_are_classical_and_bijective():
