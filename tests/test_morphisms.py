@@ -16,6 +16,15 @@ def test_isomorphisms_extends_generator_image():
     assert list(isomorphisms(g, g)) == [(0, 1, 2, 3), (0, 3, 2, 1)]  # identity, inversion
 
 
+def test_isomorphisms_prunes_conflict():
+    d8, q8 = make_dihedral(8), make_quaternion8()
+    # D8's generators have orders 4 and 2, so every branch has images to try;
+    # Q8's one involution is the square of each order-4 image, so each dies on a repeat
+    assert [d8.element_orders[g] for g in d8.generating_indices] == [4, 2]
+    assert [y for y in q8.elements() if q8.element_orders[y] == 2] == [2]
+    assert list(isomorphisms(d8, q8)) == []
+
+
 def test_automorphisms_match_oracle(census15):
     for e in census15:
         if e.order > 8:
