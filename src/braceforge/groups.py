@@ -25,7 +25,14 @@ class FiniteGroup:
     group equals the original; an instance of another class is never equal.
     Written by hand rather than as a NamedTuple because the cached properties
     below need an instance `__dict__`.
+
+    `_axioms_checked` is true only on a group built by `from_table`, after
+    every one of its checks has passed, and on `relabel` of such a group.
+    The constructor itself checks nothing, so a group built directly (or by
+    `opposite` or `make_cyclic`) never carries it.
     """
+
+    _axioms_checked = False
 
     def __init__(self, table: tuple[tuple[int, ...], ...], inv: tuple[int, ...],
                  label: str = "") -> None:
@@ -72,6 +79,10 @@ class FiniteGroup:
         generator at least doubles.  Only a failing table gets the full n^3
         scan, which names the first non-associative triple.  The set is kept
         as the group's ``generating_indices``.
+
+        Only a table that passes every check returns, and only then is the
+        group marked ``_axioms_checked``: the proof that it is a group with
+        identity 0, which lets `braces.validate` check circ-generators only.
         """
         n = len(rows)
         if n == 0:
@@ -100,6 +111,7 @@ class FiniteGroup:
         group = cls(table=table, inv=tuple(inv), label=label)
         if all(table[ra[b]] == compose(ra, table[b])
                for ra in table for b in group.generating_indices):
+            object.__setattr__(group, "_axioms_checked", True)
             return group
         for a, ra in enumerate(table):
             for b, rb in enumerate(table):
@@ -176,8 +188,16 @@ class FiniteGroup:
 
 
 def relabel(g: FiniteGroup, label: str) -> FiniteGroup:
-    """A fresh group with g's table and inverses; no cached property carries over."""
-    return FiniteGroup(g.table, g.inv, label)
+    """A fresh group with g's table and inverses; no cached property carries over.
+
+    The `from_table` mark does: the table and inverses it was proved on are
+    the same (immutable) tuples, so a relabelled checked group stays checked
+    and an unchecked one stays unchecked.
+    """
+    h = FiniteGroup(g.table, g.inv, label)
+    if g._axioms_checked:
+        object.__setattr__(h, "_axioms_checked", True)
+    return h
 
 
 # ---------------------------------------------------------------------------

@@ -3,15 +3,18 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from braceforge import braces
 from braceforge.braces import (BraceRelationError, BraceValidationError, SkewBrace,
                                almost_trivial, gamma, left_ideal_flags, left_ideal_status,
                                left_ideals, trivial, validate)
 from braceforge.census import census, census_lookup
-from braceforge.groups import is_normal, make_cyclic, subgroups
+from braceforge.groups import FiniteGroup, is_normal, make_cyclic, relabel, subgroups
 from braceforge.perms import identity_perm
 
-from oracles import brace_isomorphic, oracle_brace_isomorphic, oracle_validate, transport
+from oracles import (brace_isomorphic, oracle_brace_isomorphic, oracle_validate, transport,
+                     transport_table)
 
 
 @pytest.mark.parametrize("label", ["C1", "C6", "S3", "Q8", "A4"])
@@ -53,6 +56,67 @@ def test_validate_names_the_first_violating_triple():
     assert fast.value.triple == (1, 1, 1)
     assert str(fast.value) == "compatibility fails at (a, b, c) = (1, 1, 1)"
     assert (cubic.value.triple, str(cubic.value)) == (fast.value.triple, str(fast.value))
+
+
+def _outcome(dot, circ, check):
+    try:
+        return check(dot, circ)
+    except BraceValidationError as exc:
+        return type(exc), str(exc), getattr(exc, "triple", None)
+
+
+@settings(max_examples=400, deadline=None)
+@given(data=st.data())
+def test_validate_on_checked_circ_groups_matches_the_cubic_check(data, census15, census_braces):
+    # circ built by from_table, so validate may check the circ-generators
+    # only: a group table of the dot group's order, from the census or from
+    # any census enumeration, carried along a bijection fixing 0
+    dot = data.draw(st.sampled_from([e.group for e in census15 if e.order > 1]))
+    n = dot.order
+    tables = [e.group.table for e in census15 if e.order == n]
+    tables += [b.circ.table for b in census_braces if b.order == n]
+    rows = data.draw(st.sampled_from(tables))
+    f = [0] + (data.draw(st.permutations(range(1, n))) if data.draw(st.booleans())
+               else list(range(1, n)))
+    circ = FiniteGroup.from_table(transport_table(rows, f))
+    assert _outcome(dot, circ, validate) == _outcome(dot, circ, oracle_validate)
+
+
+def _compose_calls(monkeypatch, dot, circ):
+    calls = 0
+    compose = braces.compose
+
+    def counting(p, q):
+        nonlocal calls
+        calls += 1
+        return compose(p, q)
+
+    with monkeypatch.context() as m:
+        m.setattr(braces, "compose", counting)
+        validate(dot, circ)
+    return calls
+
+
+def test_validate_checks_circ_generators_only_on_checked_groups(monkeypatch, census_braces):
+    assert len(census_braces) == 498
+    for b in census_braces:
+        n, kd, kc = b.order, len(b.dot.generating_indices), len(b.circ.generating_indices)
+        unchecked = FiniteGroup(b.circ.table, b.circ.inv)
+        assert _compose_calls(monkeypatch, b.dot, b.circ) <= 2 * kc * kd, b.label
+        assert _compose_calls(monkeypatch, b.dot, unchecked) == 2 * n * kd, b.label
+        # relabel keeps the mark exactly when its argument had it
+        assert _compose_calls(monkeypatch, b.dot, relabel(b.circ, "x")) <= 2 * kc * kd
+        assert _compose_calls(monkeypatch, b.dot, relabel(unchecked, "x")) == 2 * n * kd
+
+
+def test_only_from_table_marks_a_group_checked(monkeypatch):
+    # C6 has one generator, so the short path is 2 calls and the full one 12
+    c6 = make_cyclic(6)
+    checked = FiniteGroup.from_table(c6.table)
+    assert _compose_calls(monkeypatch, c6, checked) == 2
+    assert _compose_calls(monkeypatch, c6, relabel(checked, "x")) == 2
+    for circ in (c6, FiniteGroup(c6.table, c6.inv), checked.opposite(), relabel(c6, "x")):
+        assert _compose_calls(monkeypatch, c6, circ) == 12
 
 
 def test_trivial_and_almost_trivial_flags():

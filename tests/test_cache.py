@@ -14,7 +14,7 @@ from pathlib import Path
 import pytest
 
 from braceforge import classify, jsonio
-from braceforge.braces import validate
+from braceforge.braces import BraceRelationError, validate
 from braceforge.cache import (CACHE_DIR_ENV, DEFAULT_CACHE_DIR, cached_verdict,
                               resolve_cache_dir, store_verdict, table_digest)
 from braceforge.census import census_lookup
@@ -22,7 +22,7 @@ from braceforge.classify import is_good
 from braceforge.cli import main
 from braceforge.groups import FiniteGroup
 
-from oracles import transport
+from oracles import oracle_validate, transport
 
 
 def test_resolve_cache_dir_precedence(monkeypatch, tmp_path):
@@ -116,6 +116,25 @@ def test_cached_witness_whose_pair_does_not_fail_is_refused(tmp_path):
     with pytest.warns(UserWarning, match="does not fail"):
         assert cached_verdict(g, False, tmp_path) is None
     with pytest.warns(UserWarning, match="does not fail"):
+        assert is_good(g, cache_dir=tmp_path) == expected
+    assert cached_verdict(g, False, tmp_path) == expected  # rewritten
+
+
+def test_cached_witness_on_an_incompatible_circ_group_is_refused(tmp_path):
+    # a valid group table passes from_table, so validate's circ-generator
+    # check is what must refuse it
+    g = census_lookup("Q8")
+    expected = is_good(g, cache_dir=tmp_path)
+    entry = next(tmp_path.glob("*.json"))
+    obj = json.loads(entry.read_bytes())
+    c8 = census_lookup("C8")
+    with pytest.raises(BraceRelationError):
+        oracle_validate(g, FiniteGroup.from_table(c8.table))
+    obj["payload"]["witness"]["brace"]["circ"] = [list(r) for r in c8.table]
+    entry.write_text(json.dumps(obj))
+    with pytest.warns(UserWarning, match=r"compatibility fails at \(a, b, c\) = \(1, 1, 2\)"):
+        assert cached_verdict(g, False, tmp_path) is None
+    with pytest.warns(UserWarning, match="corrupt cache entry"):
         assert is_good(g, cache_dir=tmp_path) == expected
     assert cached_verdict(g, False, tmp_path) == expected  # rewritten
 

@@ -177,12 +177,14 @@ def test_brace_check_reports_violating_triple(capsys, tmp_path):
     code, _, err = run(capsys, "brace", "check", str(path))
     assert code == 2
     assert "compatibility fails at (a, b, c)" in err
+    assert "compatibility fails at (a, b, c) = (1, 1, 1)" in err
 
     code, out, _ = run(capsys, "brace", "check", str(path), "--json")
     data = json.loads(out)
     assert code == 2
     assert data["valid"] is False
     assert isinstance(data["triple"], list) and len(data["triple"]) == 3
+    assert data["triple"] == [1, 1, 1]
 
 
 def test_brace_check_schema_error(capsys, tmp_path):
