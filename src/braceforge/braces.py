@@ -10,7 +10,7 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import Iterable, Iterator, NamedTuple
 
-from .groups import FiniteGroup, Subgroup, subgroups
+from .groups import FiniteGroup, Frozen, Subgroup, subgroups
 from .perms import Perm, compose
 
 
@@ -26,34 +26,22 @@ class BraceRelationError(BraceValidationError):
         super().__init__(f"compatibility fails at (a, b, c) = ({a}, {b}, {c})")
 
 
-class SkewBrace:
+class SkewBrace(Frozen):
     """The pair (dot, circ) of group tables on the same indices, and a label.
 
-    Frozen.  Equality and hash cover `dot` and `circ`, that is their tables
-    and inverses; `label` is a name only, and an instance of another class is
-    never equal.
+    Equality and hash cover `dot` and `circ`, that is their tables and
+    inverses; `label` is a name only.
     """
+
+    _fields = ("dot", "circ", "label")
 
     def __init__(self, dot: FiniteGroup, circ: FiniteGroup, label: str = "") -> None:
         object.__setattr__(self, "dot", dot)
         object.__setattr__(self, "circ", circ)
         object.__setattr__(self, "label", label)
 
-    def __setattr__(self, name: str, *value) -> None:
-        raise AttributeError(f"cannot assign or delete field {name!r} of a frozen instance")
-
-    __delattr__ = __setattr__
-
-    def __repr__(self) -> str:
-        return f"SkewBrace(dot={self.dot!r}, circ={self.circ!r}, label={self.label!r})"
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.dot, self.circ) == (other.dot, other.circ)
-
-    def __hash__(self) -> int:
-        return hash((self.dot, self.circ))
+    def _key(self) -> tuple:
+        return self.dot, self.circ
 
     @property
     def order(self) -> int:

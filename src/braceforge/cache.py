@@ -5,11 +5,14 @@ table, and the scan mode, so a changed table or a new release simply misses
 instead of serving stale data.  Writes go through a temp file and an atomic
 rename.
 
-Nothing read back is taken on faith: entries go through the one JSON
-decoder and the validating parser that read user input.  Only bad verdicts
-are stored, and one is used only after its witness replays; a good verdict
-has no witness, so it is always recomputed.  An entry that fails any check
-is recomputed with a warning.  Enumerations are not cached: validating a
+Entries read back go through the one JSON decoder and the validating
+parser that read user input.  Only bad verdicts are stored, and one is used
+only after its witness replays; a good verdict has no witness, so it is
+always recomputed.  Two claims of an entry cannot be re-derived without the
+enumeration the cache skips, so they are served as stored:
+`braces_examined`, which is only checked to be at least 1, and that the
+witness brace is the first bad one the scan meets.  An entry that fails any
+check is recomputed with a warning.  Enumerations are not cached: validating a
 stored one costs about as much as recomputing it.
 """
 

@@ -25,20 +25,21 @@ from typing import Iterator
 
 from .braces import BraceValidationError, SkewBrace, validate
 from .census import CENSUS_MAX_ORDER, CensusCapError, label_or_unknown
-from .groups import FiniteGroup
+from .groups import FiniteGroup, Frozen
 from .morphisms import automorphism_group
 from .perms import Perm, compose, identity_perm, invert, perm_order
 
 Table = tuple[tuple[int, ...], ...]
 
 
-class BraceEnumeration:
+class BraceEnumeration(Frozen):
     """Every compatible operation on `additive`, with the partitions computed so far.
 
-    Frozen.  Equality and hash cover all four fields; an instance of another
-    class is never equal.  Written by hand rather than as a NamedTuple so
-    that it can be weakly referenced.
+    Equality and hash cover all four fields.  Not a NamedTuple so that it
+    can be weakly referenced.
     """
+
+    _fields = ("additive", "operations", "iso_classes", "by_mult_type")
 
     def __init__(self, additive: FiniteGroup, operations: tuple[SkewBrace, ...],
                  iso_classes: tuple[tuple[int, ...], ...] | None = None,
@@ -48,25 +49,8 @@ class BraceEnumeration:
         object.__setattr__(self, "iso_classes", iso_classes)
         object.__setattr__(self, "by_mult_type", by_mult_type)
 
-    def __setattr__(self, name: str, *value) -> None:
-        raise AttributeError(f"cannot assign or delete field {name!r} of a frozen instance")
-
-    __delattr__ = __setattr__
-
-    def __repr__(self) -> str:
-        return (f"BraceEnumeration(additive={self.additive!r}, operations={self.operations!r}, "
-                f"iso_classes={self.iso_classes!r}, by_mult_type={self.by_mult_type!r})")
-
     def _key(self) -> tuple:
         return self.additive, self.operations, self.iso_classes, self.by_mult_type
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._key() == other._key()
-
-    def __hash__(self) -> int:
-        return hash(self._key())
 
     def _replace(self, **changes) -> "BraceEnumeration":
         """A new enumeration with the given fields changed, as `NamedTuple._replace`."""

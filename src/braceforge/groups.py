@@ -18,12 +18,41 @@ class CayleyTableError(ValueError):
     """A table fails one of the group axioms."""
 
 
-class FiniteGroup:
+class Frozen:
+    """Base of the package's frozen classes.
+
+    A subclass sets its fields in `__init__` with `object.__setattr__`, lists
+    them in `_fields` for the `Name(field=value, ...)` repr, and returns the
+    compared ones from `_key()` as a plain tuple, since equality and hash run
+    on every memo lookup.  No attribute can be assigned or deleted, and an
+    instance of another class is never equal.
+    """
+
+    _fields: tuple[str, ...] = ()
+
+    def __setattr__(self, name: str, *value) -> None:
+        raise AttributeError(f"cannot assign or delete field {name!r} of a frozen instance")
+
+    __delattr__ = __setattr__
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
+        return f"{self.__class__.__name__}({fields})"
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+
+class FiniteGroup(Frozen):
     """A group on 0..n-1: its Cayley table, its inverses and a display label.
 
-    Frozen.  Equality and hash cover `table` and `inv` only, so a relabelled
-    group equals the original; an instance of another class is never equal.
-    Written by hand rather than as a NamedTuple because the cached properties
+    Equality and hash cover `table` and `inv` only, so a relabelled group
+    equals the original.  Not a NamedTuple because the cached properties
     below need an instance `__dict__`.
 
     `_axioms_checked` is true only on a group built by `from_table`, after
@@ -32,6 +61,7 @@ class FiniteGroup:
     `opposite` or `make_cyclic`) never carries it.
     """
 
+    _fields = ("table", "inv", "label")
     _axioms_checked = False
 
     def __init__(self, table: tuple[tuple[int, ...], ...], inv: tuple[int, ...],
@@ -40,21 +70,8 @@ class FiniteGroup:
         object.__setattr__(self, "inv", inv)
         object.__setattr__(self, "label", label)
 
-    def __setattr__(self, name: str, *value) -> None:
-        raise AttributeError(f"cannot assign or delete field {name!r} of a frozen instance")
-
-    __delattr__ = __setattr__
-
-    def __repr__(self) -> str:
-        return f"FiniteGroup(table={self.table!r}, inv={self.inv!r}, label={self.label!r})"
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.table, self.inv) == (other.table, other.inv)
-
-    def __hash__(self) -> int:
-        return hash((self.table, self.inv))
+    def _key(self) -> tuple:
+        return self.table, self.inv
 
     @classmethod
     def from_table(cls, rows: Sequence[Sequence[int]], label: str = "") -> "FiniteGroup":

@@ -3,10 +3,11 @@ every private module-level name of the package is used somewhere in it, no
 package module imports another module's private name, only `jsonio` writes
 JSON, only `jsonio.loads` decodes it, no package module imports a process
 pool or `dataclasses` (and importing the CLI loads neither `dataclasses` nor
-`inspect`), every public function, class and method of the package has a
-caller outside the unit tests or a stated reason, every package name the
-benchmark child reads without a fallback exists, and a traced benchmark
-round of each workload reports every metric.
+`inspect`), only `groups.Frozen` defines the frozen-instance dunders, every
+public function, class and method of the package has a caller outside the
+unit tests or a stated reason, every package name the benchmark child reads
+without a fallback exists, and a traced benchmark round of each workload
+reports every metric.
 
 The scans are syntactic (ast): an imported name counts as used when it
 appears as a bare name anywhere in the module, in a quoted annotation, or in
@@ -288,6 +289,44 @@ def test_cli_import_loads_neither_dataclasses_nor_inspect():
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr[-2000:]
     assert proc.stdout == "[]\n", f"import braceforge.cli loads {proc.stdout.strip()}"
+
+
+FROZEN_DUNDERS = {"__setattr__", "__delattr__", "__repr__", "__eq__", "__hash__"}
+
+
+def _frozen_dunders(tree: ast.Module) -> list[str]:
+    """`Class.name` for every frozen-instance dunder that a class body defines
+    or assigns."""
+    found = []
+    for cls in ast.walk(tree):
+        if not isinstance(cls, ast.ClassDef):
+            continue
+        for item in cls.body:
+            if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                names = [item.name]
+            elif isinstance(item, ast.Assign):
+                names = [t.id for t in item.targets if isinstance(t, ast.Name)]
+            elif isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name):
+                names = [item.target.id]
+            else:
+                continue
+            found += [f"{cls.name}.{name}" for name in names if name in FROZEN_DUNDERS]
+    return found
+
+
+def test_frozen_instance_dunders_are_defined_once():
+    found = {p.name: set(d) for p in PACKAGE
+             if (d := _frozen_dunders(ast.parse(p.read_text(encoding="utf-8"))))}
+    assert found == {"groups.py": {f"Frozen.{name}" for name in FROZEN_DUNDERS}}, (
+        f"frozen-instance dunders outside groups.Frozen: {found}")
+
+
+def test_scan_sees_frozen_dunders():
+    tree = ast.parse("def __repr__():\n    pass\nclass A:\n    def __eq__(self, o):\n"
+                     "        return True\n    __hash__ = None\n    def __init__(self):\n"
+                     "        pass\nclass B(A):\n    __repr__: object = object.__repr__\n"
+                     "    class C:\n        def __setattr__(self, n, v):\n            pass\n")
+    assert _frozen_dunders(tree) == ["A.__eq__", "A.__hash__", "B.__repr__", "C.__setattr__"]
 
 
 CHILD = ROOT / "perfbench" / "child.py"

@@ -1,13 +1,15 @@
-"""The package's records and its four hand-written frozen classes.
+"""The package's records and its four frozen classes.
 
 Records are NamedTuples: field equality and hash, the `Name(field=value)`
 repr, immutability.  FiniteGroup, SkewBrace, BraceEnumeration and
-Isomorphism are written by hand and keep the semantics of a frozen
-dataclass: equality and hash over the compared fields (a label is not one),
-never equal to another class, and no field can be assigned or deleted.
+Isomorphism are subclasses of `groups.Frozen` and keep the semantics of a
+frozen dataclass: equality and hash over the compared fields (a label is not
+one), never equal to another class, and no field can be assigned or deleted.
 """
 
 from __future__ import annotations
+
+import pickle
 
 import pytest
 
@@ -71,6 +73,15 @@ def test_hand_written_class_is_never_equal_to_another_type(name):
     for other in (values, values[:2], list(values), name, None, object()):
         assert (obj == other) is False and (obj != other) is True
         assert obj.__eq__(other) is NotImplemented
+
+
+@pytest.mark.parametrize("name", HAND_WRITTEN)
+def test_equal_hand_written_instances_hash_equal(name):
+    # a pickle round trip rebuilds every nested object, so no part is shared
+    obj = _hand_written()[name]
+    twin = pickle.loads(pickle.dumps(obj))
+    assert twin is not obj and getattr(twin, FIELDS[name][0]) is not getattr(obj, FIELDS[name][0])
+    assert twin == obj and hash(twin) == hash(obj)
 
 
 @pytest.mark.parametrize("name", HAND_WRITTEN)
