@@ -93,11 +93,12 @@ def census_match(g: FiniteGroup) -> tuple[CensusEntry, tuple[int, ...]] | None:
 
     Only the census entries with g's `invariants` are candidates, found by one
     lookup; the isomorphism search against them is the proof.  f is the
-    first map `isomorphisms` yields.  It is returned raw: the Cayley-graph
-    walk that built it has already proved it multiplicative (Lemma 1 of
-    `morphisms`), so no `Isomorphism` re-check runs.  Callers that need more
-    than the label use f to carry structure over from the representative,
-    which is computed once per census entry instead of once per group.
+    first map `isomorphisms` yields, the same map `are_isomorphic` returns.
+    It is returned raw: the Cayley-graph walk that built it has already
+    proved it multiplicative (Lemma 1 of `morphisms`).  Callers that need
+    more than the label use f to carry structure over from the
+    representative, which is computed once per census entry instead of once
+    per group.
     """
     if g.order > CENSUS_MAX_ORDER:
         return None

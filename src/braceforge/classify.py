@@ -257,7 +257,8 @@ def direct_factor_witness(witness: Witness, other: FiniteGroup) -> Witness:
 
     The product circ is (m1, m1') o (m2, m2') = (m1 o m2, m1' . m2'); the bad
     subgroup becomes S x {1}.  With the one-element group this is the original
-    witness unchanged.
+    witness unchanged.  Only the input witness is replayed: the lift is the
+    exact scan's failure on a brace `validate` has just built.
     """
     verify_witness(witness)
     if other.order == 1:
@@ -269,10 +270,8 @@ def direct_factor_witness(witness: Witness, other: FiniteGroup) -> Witness:
     flag = left_ideal_status(b, members)
     if flag.is_left_ideal:  # pragma: no cover - the lift always stays bad
         raise RuntimeError("lifted subgroup unexpectedly became a left ideal")
-    lifted = Witness(brace=b, subgroup=flag.members, failing=flag.failing_pair,
-                     kind=flag.failure_kind)
-    verify_witness(lifted)
-    return lifted
+    return Witness(brace=b, subgroup=flag.members, failing=flag.failing_pair,
+                   kind=flag.failure_kind)
 
 
 def c_group_check(group: FiniteGroup) -> bool:

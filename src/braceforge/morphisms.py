@@ -15,6 +15,10 @@ lies in the span of g1..gj, where the images of g1..gj fix f.  Two maps whose
 generator images first differ at gj therefore agree below gj and first differ
 at gj, so trying generator images in increasing order yields the maps in
 increasing order.
+
+By Lemma 1 every map returned here is an isomorphism as it stands, so no
+function here checks one again; the tests check each map over all n^2
+products.
 """
 
 from __future__ import annotations
@@ -22,7 +26,7 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import Iterator
 
-from .groups import FiniteGroup, Frozen, Subgroup, subgroups
+from .groups import FiniteGroup, Subgroup, subgroups
 from .perms import Perm
 
 
@@ -73,40 +77,13 @@ def isomorphisms(src: FiniteGroup, dst: FiniteGroup) -> Iterator[tuple[int, ...]
     yield from search(())
 
 
-@lru_cache(maxsize=None)
+# One entry: every caller reuses Aut(N) right after building it (the search,
+# then `reduce_up_to_iso` on the same enumeration), and an unbounded memo
+# would keep every group it saw alive, with all 20,160 maps of C2^4.
+@lru_cache(maxsize=1)
 def automorphism_group(g: FiniteGroup) -> tuple[Perm, ...]:
     """All automorphisms as maps, sorted; `isomorphisms` finds them in order."""
     return tuple(isomorphisms(g, g))
-
-
-class Isomorphism(Frozen):
-    """A map between two groups, checked to be an isomorphism when built.
-
-    Equality and hash cover `source`, `target` and `map`.
-    """
-
-    _fields = ("source", "target", "map")
-
-    def __init__(self, source: FiniteGroup, target: FiniteGroup, map: tuple[int, ...]) -> None:
-        object.__setattr__(self, "source", source)
-        object.__setattr__(self, "target", target)
-        object.__setattr__(self, "map", map)
-        self.__post_init__()
-
-    def _key(self) -> tuple:
-        return self.source, self.target, self.map
-
-    def __post_init__(self) -> None:
-        m = self.map
-        if len(m) != self.source.order or len(m) != self.target.order:
-            raise ValueError(f"isomorphism map has {len(m)} entries between groups of "
-                             f"order {self.source.order} and {self.target.order}")
-        if m[0] != 0 or sorted(m) != list(range(len(m))):
-            raise ValueError("isomorphism map must be a bijection fixing 0")
-        for a in self.source.elements():
-            for b in self.source.elements():
-                if m[self.source.table[a][b]] != self.target.table[m[a]][m[b]]:
-                    raise ValueError(f"map is not multiplicative at ({a}, {b})")
 
 
 def invariants(g: FiniteGroup) -> tuple[int, tuple[int, ...], int]:
@@ -114,12 +91,16 @@ def invariants(g: FiniteGroup) -> tuple[int, tuple[int, ...], int]:
     return g.order, tuple(sorted(g.element_orders)), len(g.center)
 
 
-def are_isomorphic(a: FiniteGroup, b: FiniteGroup) -> Isomorphism | None:
-    """The least isomorphism, checked, or None.  Unequal `invariants` prune most mismatches."""
+def are_isomorphic(a: FiniteGroup, b: FiniteGroup) -> tuple[int, ...] | None:
+    """The least isomorphism a -> b as a map, or None.
+
+    Unequal `invariants` prune most mismatches.  The map is the first one
+    `isomorphisms` yields, whose walk has proved it multiplicative (Lemma 1),
+    so it is returned as it is.
+    """
     if invariants(a) != invariants(b):
         return None
-    f = next(isomorphisms(a, b), None)
-    return None if f is None else Isomorphism(source=a, target=b, map=f)
+    return next(isomorphisms(a, b), None)
 
 
 def characteristic_subgroups(g: FiniteGroup) -> list[Subgroup]:

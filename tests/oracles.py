@@ -128,6 +128,19 @@ def oracle_automorphisms(g: FiniteGroup) -> list[tuple[int, ...]]:
     return sorted(out)
 
 
+def oracle_check_isomorphism(src: FiniteGroup, dst: FiniteGroup, f: Sequence[int]) -> None:
+    """Raise ValueError unless f is an isomorphism src -> dst, checked on all n^2 products."""
+    if len(f) != src.order or len(f) != dst.order:
+        raise ValueError(f"isomorphism map has {len(f)} entries between groups of "
+                         f"order {src.order} and {dst.order}")
+    if f[0] != 0 or sorted(f) != list(range(len(f))):
+        raise ValueError("isomorphism map must be a bijection fixing 0")
+    for a in src.elements():
+        for b in src.elements():
+            if f[src.table[a][b]] != dst.table[f[a]][f[b]]:
+                raise ValueError(f"map is not multiplicative at ({a}, {b})")
+
+
 def oracle_brace_isomorphic(x: SkewBrace, y: SkewBrace) -> bool:
     """Try every identity-fixing bijection against both tables at once."""
     n = x.order
@@ -353,10 +366,13 @@ def oracle_search_slots(g: FiniteGroup) -> set[int]:
 
 
 def oracle_label(g: FiniteGroup) -> str:
-    """The first census entry the checked `are_isomorphic` matches, else unknown."""
+    """The first census entry `are_isomorphic` matches, its map checked over
+    all n^2 products, else unknown."""
     if g.order <= CENSUS_MAX_ORDER:
         for e in census():
-            if are_isomorphic(g, e.group) is not None:
+            f = are_isomorphic(g, e.group)
+            if f is not None:
+                oracle_check_isomorphism(g, e.group, f)
                 return e.label
     return f"unknown-order-{g.order}"
 

@@ -20,7 +20,7 @@ from braceforge.groups import (FiniteGroup, make_abelian, make_cyclic,
 from braceforge.morphisms import are_isomorphic, automorphism_group, invariants
 from braceforge.perms import identity_perm, perm_order
 
-from oracles import oracle_label, transport
+from oracles import oracle_check_isomorphism, oracle_label, transport
 
 census_module = importlib.import_module("braceforge.census")  # the package exports census()
 
@@ -83,7 +83,8 @@ def test_census_match_is_the_least_checked_isomorphism(census15, census_braces):
     for g in groups:
         entry, f = census_match(g)
         assert census_label(g) == entry.label == oracle_label(g)
-        assert f == are_isomorphic(g, entry.group).map
+        oracle_check_isomorphism(g, entry.group, f)
+        assert f == are_isomorphic(g, entry.group)
 
 
 def test_census_match_searches_only_entries_with_equal_invariants(monkeypatch, census15):

@@ -4,6 +4,7 @@ package module imports another module's private name, only `jsonio` writes
 JSON, only `jsonio.loads` decodes it, no package module imports a process
 pool or `dataclasses` (and importing the CLI loads neither `dataclasses` nor
 `inspect`), only `groups.Frozen` defines the frozen-instance dunders, every
+memo without a bound is allowlisted with a reason, every
 public function, class and method of the package has a caller outside the
 unit tests or a stated reason, every package name the benchmark child reads
 without a fallback exists, and a traced benchmark round of each workload
@@ -327,6 +328,51 @@ def test_scan_sees_frozen_dunders():
                      "        pass\nclass B(A):\n    __repr__: object = object.__repr__\n"
                      "    class C:\n        def __setattr__(self, n, v):\n            pass\n")
     assert _frozen_dunders(tree) == ["A.__eq__", "A.__hash__", "B.__repr__", "C.__setattr__"]
+
+
+# process-lifetime memos with no bound, each kept for a reason
+UNBOUNDED_MEMOS = {
+    "census.census_match": "the second descriptor per brace reads it; ROADMAP item 11",
+    "census.census_label": "the benchmark probe reads its cache_info; ROADMAP item 5",
+    "report._entry_lattice": "one entry per census group",
+}
+
+
+def _unbounded_memos(tree: ast.Module) -> list[str]:
+    """Every function decorated with `cache` or with an `lru_cache` not given
+    an integer maxsize (bare, called without one, or with `maxsize=None`)."""
+    def name(node: ast.expr) -> str | None:
+        return node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)
+
+    def unbounded(d: ast.expr) -> bool:
+        if name(d) in ("cache", "lru_cache"):
+            return True
+        if not isinstance(d, ast.Call) or name(d.func) != "lru_cache":
+            return False
+        size = [*d.args, *(k.value for k in d.keywords if k.arg == "maxsize")]
+        return not size or (isinstance(size[0], ast.Constant) and size[0].value is None)
+    return [node.name for node in ast.walk(tree)
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+            and any(unbounded(d) for d in node.decorator_list)]
+
+
+def test_every_unbounded_memo_has_a_reason():
+    found = {f"{p.stem}.{name}" for p in PACKAGE
+             for name in _unbounded_memos(ast.parse(p.read_text(encoding="utf-8")))}
+    allowed = set(UNBOUNDED_MEMOS)
+    assert found == allowed, (f"memos with no bound: {sorted(found - allowed)}; "
+                              f"allowlisted but bounded or gone: {sorted(allowed - found)}")
+
+
+def test_scan_sees_an_unbounded_memo():
+    tree = ast.parse("import functools\nfrom functools import cache, lru_cache\n"
+                     "@cache\ndef a(): pass\n@lru_cache\ndef b(): pass\n"
+                     "@lru_cache(maxsize=None)\ndef c(): pass\n"
+                     "@functools.lru_cache(None)\ndef d(): pass\n@lru_cache()\ndef e(): pass\n"
+                     "@lru_cache(maxsize=1)\ndef f(): pass\n@functools.lru_cache(4)\ndef g(): pass\n"
+                     "@property\ndef h(): pass\nclass C:\n    @functools.cache\n"
+                     "    def i(self): pass\n")
+    assert _unbounded_memos(tree) == ["a", "b", "c", "d", "e", "i"]
 
 
 CHILD = ROOT / "perfbench" / "child.py"

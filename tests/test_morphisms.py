@@ -1,12 +1,17 @@
+import gc
+import weakref
+
 import pytest
 
-from oracles import oracle_automorphisms, transport
+from oracles import oracle_automorphisms, oracle_check_isomorphism, transport
 
+from braceforge import morphisms
 from braceforge.census import census_lookup
+from braceforge.enumeration import enumerate_circ, reduce_up_to_iso, with_mult_types
 from braceforge.groups import (direct_product, make_abelian, make_cyclic, make_dicyclic,
                                make_dihedral, make_quaternion8)
-from braceforge.morphisms import (Isomorphism, are_isomorphic, automorphism_group,
-                                  characteristic_subgroups, isomorphisms)
+from braceforge.morphisms import (are_isomorphic, automorphism_group, characteristic_subgroups,
+                                  isomorphisms)
 from braceforge.perms import compose
 
 
@@ -68,13 +73,36 @@ def test_automorphism_group_orders(label, expected):
     assert list(auts) == sorted(auts)
 
 
+def test_automorphism_group_is_built_once_per_reduced_enumeration(monkeypatch):
+    # a relabelled D8 no other test has seen: its Aut is not memoized yet
+    g = transport(census_lookup("D8"), (0, 6, 4, 2, 7, 5, 3, 1))
+    real = morphisms.isomorphisms
+    searches = []
+
+    def recording(src, dst):
+        searches.append((src, dst))
+        return real(src, dst)
+    monkeypatch.setattr(morphisms, "isomorphisms", recording)
+    reduce_up_to_iso(with_mult_types(enumerate_circ(g)))
+    assert searches == [(g, g)]
+
+
+def test_automorphism_group_keeps_no_earlier_group_alive():
+    # the memo holds one group, so building another's Aut lets the first go
+    g = transport(census_lookup("Q8"), (0, 7, 6, 5, 4, 3, 2, 1))
+    held = weakref.ref(g)
+    automorphism_group(g)
+    automorphism_group(census_lookup("C2"))
+    del g
+    gc.collect()
+    assert held() is None
+
+
 def test_are_isomorphic_finds_map():
     a = make_abelian([4, 2])
     b = make_abelian([2, 4])
-    iso = are_isomorphic(a, b)
-    assert iso is not None
-    assert isinstance(iso, Isomorphism)
-    f = iso.map
+    f = are_isomorphic(a, b)
+    assert isinstance(f, tuple) and len(f) == 8
     for x in range(8):
         for y in range(8):
             assert f[a.table[x][y]] == b.table[f[x]][f[y]]
@@ -100,21 +128,24 @@ def test_are_isomorphic_returns_least_map(census15):
             continue
         g = e.group
         bij = (0, *range(g.order - 1, 0, -1))
-        iso = are_isomorphic(g, transport(g, bij))
-        assert iso.map == min(compose(bij, a) for a in oracle_automorphisms(g)), g.label
+        f = are_isomorphic(g, transport(g, bij))
+        assert f == min(compose(bij, a) for a in oracle_automorphisms(g)), g.label
 
 
 def test_isomorphism_rejects_lying_map():
     g = make_cyclic(4)
-    with pytest.raises(ValueError):
-        Isomorphism(source=g, target=g, map=(0, 2, 1, 3))
+    oracle_check_isomorphism(g, g, (0, 3, 2, 1))
+    with pytest.raises(ValueError, match=r"not multiplicative at \(1, 1\)"):
+        oracle_check_isomorphism(g, g, (0, 2, 1, 3))
+    with pytest.raises(ValueError, match="bijection fixing 0"):
+        oracle_check_isomorphism(g, g, (1, 0, 2, 3))
 
 
 @pytest.mark.parametrize("source, target, m", [(1, 2, (0, 1)), (2, 2, (0, 1, 2)),
                                                (4, 2, (0, 1))])
 def test_isomorphism_rejects_a_map_of_the_wrong_length(source, target, m):
     with pytest.raises(ValueError, match="entries"):
-        Isomorphism(source=make_cyclic(source), target=make_cyclic(target), map=m)
+        oracle_check_isomorphism(make_cyclic(source), make_cyclic(target), m)
 
 
 @pytest.mark.parametrize("label, expected", [

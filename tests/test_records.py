@@ -1,10 +1,10 @@
-"""The package's records and its four frozen classes.
+"""The package's records and its three frozen classes.
 
 Records are NamedTuples: field equality and hash, the `Name(field=value)`
-repr, immutability.  FiniteGroup, SkewBrace, BraceEnumeration and
-Isomorphism are subclasses of `groups.Frozen` and keep the semantics of a
-frozen dataclass: equality and hash over the compared fields (a label is not
-one), never equal to another class, and no field can be assigned or deleted.
+repr, immutability.  FiniteGroup, SkewBrace and BraceEnumeration are
+subclasses of `groups.Frozen` and keep the semantics of a frozen dataclass:
+equality and hash over the compared fields (a label is not one), never equal
+to another class, and no field can be assigned or deleted.
 """
 
 from __future__ import annotations
@@ -18,7 +18,6 @@ from braceforge.census import census, census_lookup
 from braceforge.classify import is_good
 from braceforge.enumeration import enumerate_circ
 from braceforge.groups import FiniteGroup, relabel
-from braceforge.morphisms import are_isomorphic
 
 
 def _hand_written():
@@ -27,7 +26,6 @@ def _hand_written():
         "FiniteGroup": s3,
         "SkewBrace": trivial(s3),
         "BraceEnumeration": enumerate_circ(census_lookup("C4")),
-        "Isomorphism": are_isomorphic(s3, relabel(s3, "x")),
     }
 
 
@@ -35,7 +33,6 @@ FIELDS = {
     "FiniteGroup": ("table", "inv", "label"),
     "SkewBrace": ("dot", "circ", "label"),
     "BraceEnumeration": ("additive", "operations", "iso_classes", "by_mult_type"),
-    "Isomorphism": ("source", "target", "map"),
 }
 HAND_WRITTEN = sorted(FIELDS)
 
@@ -116,8 +113,6 @@ def test_reprs_keep_the_dataclass_form():
     assert repr(trivial(c2)) == f"SkewBrace(dot={c2!r}, circ={c2!r}, label='trivial(C2)')"
     assert repr(LeftIdealFlag((0,), True)) == (
         "LeftIdealFlag(members=(0,), is_left_ideal=True, failing_pair=None, failure_kind=None)")
-    iso = are_isomorphic(c2, c2)
-    assert repr(iso) == f"Isomorphism(source={c2!r}, target={c2!r}, map=(0, 1))"
     enum = enumerate_circ(census_lookup("C1"))
     assert repr(enum) == (f"BraceEnumeration(additive={enum.additive!r}, "
                           f"operations=({enum.operations[0]!r},), "
