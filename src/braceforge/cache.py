@@ -1,19 +1,22 @@
 """Content-addressed file cache for bad goodness verdicts.
 
 Entries are keyed by tool version, group label, a digest of the Cayley
-table, and the scan mode, so a changed table or a new release simply misses
-instead of serving stale data.  Writes go through a temp file and an atomic
-rename.
+table, the scan mode and the payload layout, so a changed table, a new
+release or an older layout simply misses instead of serving stale data.
+Writes go through a temp file and an atomic rename.
 
-Entries read back go through the one JSON decoder and the validating
-parser that read user input.  Only bad verdicts are stored, and one is used
-only after its witness replays; a good verdict has no witness, so it is
-always recomputed.  Two claims of an entry cannot be re-derived without the
-enumeration the cache skips, so they are served as stored:
-`braces_examined`, which is only checked to be at least 1, and that the
-witness brace is the first bad one the scan meets.  An entry that fails any
-check is recomputed with a warning.  Enumerations are not cached: validating a
-stored one costs about as much as recomputing it.
+Only bad verdicts are stored, and an entry holds only what a hit cannot
+recompute: the witness brace and `braces_examined`.  The brace is read back
+through the one JSON decoder and the validating parser that read user
+input, on the requested group's table; the witness is then recomputed from
+it by `first_failure`, and the rest of the verdict comes from the request.
+Those two stored fields are the entry's only unverified claims:
+`braces_examined` is only checked to be at least 1, and nothing checks that
+the brace is the first bad one the scan meets.  An entry that fails any
+check, or whose brace has no failing circ-subgroup, is recomputed with a
+warning.  A good verdict has no witness to recompute, so it is never stored.
+Enumerations are not cached: validating a stored one costs about as much as
+recomputing it.
 """
 
 from __future__ import annotations
@@ -25,9 +28,9 @@ import warnings
 from pathlib import Path
 
 from . import __version__
-from .classify import Verdict, replay_witness
+from .classify import Verdict, first_failure
 from .groups import FiniteGroup
-from .jsonio import canonical_bytes, loads, verdict_from_obj, verdict_to_obj
+from .jsonio import brace_to_obj, canonical_bytes, loads, verdict_entry_from_obj
 
 DEFAULT_CACHE_DIR = ".braceforge-cache"
 CACHE_DIR_ENV = "BRACEFORGE_CACHE_DIR"
@@ -82,36 +85,41 @@ def _load_payload(path: Path, key: str):
 
 
 def _verdict_entry(group: FiniteGroup, exhaustive: bool, cache_dir) -> tuple[Path, str]:
-    """The entry file and the key stored in it for one group and scan mode."""
+    """The entry file and the key stored in it for one group and scan mode.
+    The key ends with the payload layout, so entries of an older one miss."""
     mode = "exhaustive" if exhaustive else "first"
-    key = f"verdict:{__version__}:{group.label}:{table_digest(group)}:{mode}"
+    key = f"verdict:{__version__}:{group.label}:{table_digest(group)}:{mode}:brace"
     name = hashlib.sha256(key.encode("utf-8")).hexdigest()[:32]
     return Path(cache_dir) / f"{name}.json", key
 
 
 def cached_verdict(group: FiniteGroup, exhaustive: bool,
                    cache_dir: str | os.PathLike) -> Verdict | None:
-    """A stored bad verdict whose witness replays on this group, or None."""
+    """The stored bad verdict, its witness recomputed from the stored brace, or None."""
     path, key = _verdict_entry(group, exhaustive, cache_dir)
     payload = _load_payload(path, key)
     if payload is None:
         return None
     try:
-        v = verdict_from_obj(payload, dot=group)  # the witness must sit on group's table
-        if (v.good or v.witness is None or v.group_label != group.label
-                or v.exhaustive != exhaustive):
-            raise ValueError("not a bad verdict with a witness for this group and mode")
-        replay_witness(v.witness)  # the parser has already validated the brace
-    except ValueError as exc:  # SchemaError, CayleyTableError, BraceValidationError, replay
+        brace, examined = verdict_entry_from_obj(payload, dot=group)  # on group's table
+    except ValueError as exc:  # SchemaError, CayleyTableError, BraceValidationError
         _corrupt(path, exc)
         return None
-    return v
+    witness = first_failure(brace)
+    if witness is None:
+        _corrupt(path, "the stored brace has no failing circ-subgroup")
+        return None
+    return Verdict(group_label=group.label, good=False, witness=witness,
+                   braces_examined=examined, exhaustive=exhaustive)
 
 
 def store_verdict(group: FiniteGroup, exhaustive: bool, verdict: Verdict,
                   cache_dir: str | os.PathLike) -> None:
-    """Store a bad verdict; a good one has no witness to replay and is not kept."""
+    """Store a bad verdict's witness brace and count; a good verdict has no
+    witness to recompute and is not kept."""
     if verdict.witness is None:
         return
     path, key = _verdict_entry(group, exhaustive, cache_dir)
-    _atomic_write(path, canonical_bytes({"key": key, "payload": verdict_to_obj(verdict)}))
+    payload = {"brace": brace_to_obj(verdict.witness.brace),
+               "braces_examined": verdict.braces_examined}
+    _atomic_write(path, canonical_bytes({"key": key, "payload": payload}))

@@ -42,18 +42,12 @@ def _full_census() -> tuple[CensusEntry, ...]:
         make_cyclic(10), make_dihedral(10),
         make_cyclic(11),
         make_cyclic(12), make_abelian([6, 2]), make_dihedral(12),
-        make_alternating4(), relabel(make_dicyclic(3), "Dic3"),
+        make_alternating4(), make_dicyclic(3),
         make_cyclic(13),
         make_cyclic(14), make_dihedral(14),
         make_cyclic(15),
     ]
-    entries = tuple(CensusEntry(order=g.order, label=g.label, group=g) for g in groups)
-    by_order: dict[int, int] = {}
-    for e in entries:
-        by_order[e.order] = by_order.get(e.order, 0) + 1
-    if by_order != EXPECTED_COUNTS:
-        raise RuntimeError(f"census entry counts {by_order} disagree with the known counts")
-    return entries
+    return tuple(CensusEntry(order=g.order, label=g.label, group=g) for g in groups)
 
 
 def census(max_order: int = CENSUS_MAX_ORDER) -> list[CensusEntry]:

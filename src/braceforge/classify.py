@@ -43,14 +43,8 @@ class Verdict(NamedTuple):
 
 def verify_witness(w: Witness) -> None:
     """Re-derive everything the witness claims; raises ValueError when it lies."""
-    validate(w.brace.dot, w.brace.circ)
-    replay_witness(w)
-
-
-def replay_witness(w: Witness) -> None:
-    """verify_witness without re-validating the brace, for a witness whose
-    brace has just been decoded through the validating parser."""
     b = w.brace
+    validate(b.dot, b.circ)
     ms = set(w.subgroup)
     if list(w.subgroup) != sorted(ms) or not all(0 <= v < b.order for v in (*ms, *w.failing)):
         raise ValueError("witness indices must be distinct, sorted and in range")
@@ -99,7 +93,8 @@ def is_good(group: FiniteGroup, *, exhaustive: bool = False,
     enumeration order.  First-failure mode stops at the first bad brace, so the
     search and its table gates stop there too; `exhaustive` consumes the whole
     stream (the recorded witness is the first failure either way).  With a
-    cache_dir, a stored bad verdict is used once its witness replays."""
+    cache_dir, a stored bad verdict is used once its brace, re-validated on
+    this group, yields a witness again."""
     if cache_dir is not None:
         from .cache import cached_verdict, store_verdict
         hit = cached_verdict(group, exhaustive, cache_dir)
@@ -144,8 +139,6 @@ def theorem_predicate(group: FiniteGroup) -> bool:
     """Closed-form answer: C2, C2xC2, or odd-order cyclic with q never dividing
     p - 1 over prime divisors p, q (the trivial group counts as odd cyclic)."""
     n = group.order
-    if n == 1:
-        return True
     if n == 2:
         return True
     if n == 4 and not group.is_cyclic:

@@ -6,9 +6,11 @@ sorted keys and fixed indentation, so equal objects give identical bytes.
 `SchemaError`.  Parsing checks each field's shape, with the JSON path in
 every error (no number field takes a bool), then runs the full mathematical
 validation (FiniteGroup.from_table and braces.validate) on every table,
-except a dot table the caller already trusts.  Groups, braces, verdicts and
-report bundles are parsed, user files and cache entries alike; an
-enumeration is only written, as the output of `brace enumerate`.
+except a dot table the caller already trusts.  Groups, braces and report
+bundles are parsed from user files; a cached bad verdict is parsed as its
+two stored fields, the witness brace and the count of braces examined.  A
+full verdict and an enumeration are only written, as the output of
+`classify --json` and `brace enumerate`.
 """
 
 from __future__ import annotations
@@ -231,36 +233,21 @@ def witness_to_obj(w: Witness) -> dict:
             "failing": list(w.failing), "kind": w.kind}
 
 
-def witness_from_obj(obj: Any, path: str = "$", dot: FiniteGroup | None = None) -> Witness:
-    d = _expect_dict(obj, path, {"brace", "subgroup", "failing", "kind"})
-    brace = brace_from_obj(d["brace"], f"{path}.brace", dot)
-    subgroup = _expect_ints(d["subgroup"], f"{path}.subgroup")
-    if not _is_ints(d["failing"]) or len(d["failing"]) != 2:
-        raise SchemaError(f"{path}.failing", "expected a pair of ints")
-    if d["kind"] not in ("dot-closure", "gamma"):
-        raise SchemaError(f"{path}.kind", "expected 'dot-closure' or 'gamma'")
-    return Witness(brace=brace, subgroup=subgroup, failing=tuple(d["failing"]), kind=d["kind"])
-
-
 def verdict_to_obj(v: Verdict) -> dict:
     return {"group": v.group_label, "good": v.good,
             "witness": None if v.witness is None else witness_to_obj(v.witness),
             "braces_examined": v.braces_examined, "exhaustive": v.exhaustive}
 
 
-def verdict_from_obj(obj: Any, path: str = "$", dot: FiniteGroup | None = None) -> Verdict:
-    """Parse a verdict; `dot`, if given, is the trusted group its witness must sit on."""
-    d = _expect_dict(obj, path, {"group", "good", "witness", "braces_examined", "exhaustive"})
-    _expect_fields(d, path, str, "group")
-    _expect_fields(d, path, bool, "good", "exhaustive")
-    if not _is_int(d["braces_examined"]):
-        raise SchemaError(f"{path}.braces_examined", "expected an int")
-    if d["braces_examined"] < 1:  # every scan examines at least the trivial brace
+def verdict_entry_from_obj(obj: Any, path: str = "$",
+                           dot: FiniteGroup | None = None) -> tuple[SkewBrace, int]:
+    """Parse a cached bad verdict: its witness brace, on the trusted `dot` group
+    if given, and the number of braces its scan examined."""
+    d = _expect_dict(obj, path, {"brace", "braces_examined"})
+    if not _is_int(d["braces_examined"]) or d["braces_examined"] < 1:
+        # every scan examines at least the trivial brace
         raise SchemaError(f"{path}.braces_examined", "expected a positive int")
-    witness = (None if d["witness"] is None
-               else witness_from_obj(d["witness"], f"{path}.witness", dot))
-    return Verdict(group_label=d["group"], good=d["good"], witness=witness,
-                   braces_examined=d["braces_examined"], exhaustive=d["exhaustive"])
+    return brace_from_obj(d["brace"], f"{path}.brace", dot), d["braces_examined"]
 
 
 def theorem_report_to_obj(r: TheoremReport) -> dict:

@@ -14,11 +14,11 @@ from pathlib import Path
 import pytest
 
 from braceforge import classify, jsonio
-from braceforge.braces import BraceRelationError, validate
+from braceforge.braces import BraceRelationError, trivial, validate
 from braceforge.cache import (CACHE_DIR_ENV, DEFAULT_CACHE_DIR, cached_verdict,
                               resolve_cache_dir, store_verdict, table_digest)
-from braceforge.census import census_lookup
-from braceforge.classify import is_good
+from braceforge.census import census, census_lookup
+from braceforge.classify import is_good, verify_witness
 from braceforge.cli import main
 from braceforge.groups import FiniteGroup
 
@@ -60,7 +60,8 @@ def test_cached_verdict_misses_across_tables(tmp_path):
 
 
 def test_cached_witness_is_validated_once(monkeypatch, tmp_path):
-    # the parser validates the decoded brace; the replay does not repeat it
+    # the parser validates the decoded brace; recomputing the witness does not
+    # validate it again
     g = census_lookup("Q8")
     expected = is_good(g, cache_dir=tmp_path)
     calls = 0
@@ -98,26 +99,46 @@ def test_cached_witness_on_another_dot_table_is_refused(tmp_path):
     expected = is_good(g, cache_dir=tmp_path)
     entry = next(tmp_path.glob("*.json"))
     obj = json.loads(entry.read_bytes())
-    obj["payload"]["witness"]["brace"]["dot"] = [list(r) for r in census_lookup("D8").table]
+    obj["payload"]["brace"]["dot"] = [list(r) for r in census_lookup("D8").table]
     entry.write_text(json.dumps(obj))
-    with pytest.warns(UserWarning, match=r"witness\.brace\.dot"):
+    with pytest.warns(UserWarning, match=r"\$\.brace\.dot"):
         assert cached_verdict(g, False, tmp_path) is None
     with pytest.warns(UserWarning, match="corrupt cache entry"):
         assert is_good(g, cache_dir=tmp_path) == expected
 
 
-def test_cached_witness_whose_pair_does_not_fail_is_refused(tmp_path):
+def test_cached_brace_without_a_failing_subgroup_is_refused(tmp_path):
+    # the trivial brace is valid on Q8, but every circ-subgroup is a left ideal
     g = census_lookup("Q8")
     expected = is_good(g, cache_dir=tmp_path)
     entry = next(tmp_path.glob("*.json"))
     obj = json.loads(entry.read_bytes())
-    obj["payload"]["witness"]["failing"][0] = 0  # the identity moves nothing
+    obj["payload"]["brace"] = jsonio.brace_to_obj(trivial(g))
     entry.write_text(json.dumps(obj))
-    with pytest.warns(UserWarning, match="does not fail"):
+    with pytest.warns(UserWarning, match="no failing circ-subgroup"):
         assert cached_verdict(g, False, tmp_path) is None
-    with pytest.warns(UserWarning, match="does not fail"):
+    with pytest.warns(UserWarning, match="no failing circ-subgroup"):
         assert is_good(g, cache_dir=tmp_path) == expected
     assert cached_verdict(g, False, tmp_path) == expected  # rewritten
+
+
+def test_entry_in_the_full_verdict_layout_is_refused(capsys, tmp_path):
+    # an entry holding a whole verdict, with its failing pair edited to
+    # another pair that also fails, must not decide what is printed
+    assert main(["classify", "S3", "--json", "--no-cache"]) == 0
+    expected = capsys.readouterr().out
+    g = census_lookup("S3")
+    verdict = is_good(g, cache_dir=tmp_path)
+    assert verdict.witness.failing == (1, 3)
+    edited = verdict._replace(witness=verdict.witness._replace(failing=(2, 3)))
+    verify_witness(edited.witness)
+    entry = next(tmp_path.glob("*.json"))
+    obj = json.loads(entry.read_bytes())
+    obj["payload"] = jsonio.verdict_to_obj(edited)
+    entry.write_text(json.dumps(obj))
+    with pytest.warns(UserWarning, match="corrupt cache entry"):
+        assert main(["classify", "S3", "--json", "--cache-dir", str(tmp_path)]) == 0
+    assert capsys.readouterr().out == expected
 
 
 def test_cached_witness_on_an_incompatible_circ_group_is_refused(tmp_path):
@@ -130,13 +151,35 @@ def test_cached_witness_on_an_incompatible_circ_group_is_refused(tmp_path):
     c8 = census_lookup("C8")
     with pytest.raises(BraceRelationError):
         oracle_validate(g, FiniteGroup.from_table(c8.table))
-    obj["payload"]["witness"]["brace"]["circ"] = [list(r) for r in c8.table]
+    obj["payload"]["brace"]["circ"] = [list(r) for r in c8.table]
     entry.write_text(json.dumps(obj))
     with pytest.warns(UserWarning, match=r"compatibility fails at \(a, b, c\) = \(1, 1, 2\)"):
         assert cached_verdict(g, False, tmp_path) is None
     with pytest.warns(UserWarning, match="corrupt cache entry"):
         assert is_good(g, cache_dir=tmp_path) == expected
     assert cached_verdict(g, False, tmp_path) == expected  # rewritten
+
+
+@pytest.mark.parametrize("exhaustive", [False, True], ids=["first-failure", "exhaustive"])
+def test_warm_equals_cold_across_the_census(monkeypatch, capsys, tmp_path, exhaustive):
+    mode = ["--exhaustive"] if exhaustive else []
+    bad = [e.group for e in census() if not is_good(e.group).good]
+    assert len(bad) == 18
+    cold_out = {}
+    for g in bad:
+        cold = is_good(g, exhaustive=exhaustive)
+        store_verdict(g, exhaustive, cold, tmp_path)
+        assert cached_verdict(g, exhaustive, tmp_path) == cold, g.label
+        assert main(["classify", g.label, "--json", "--no-cache", *mode]) == 0
+        cold_out[g.label] = capsys.readouterr().out
+
+    def no_scan(group):
+        raise AssertionError(f"{group.label} was scanned on a warm cache")
+
+    monkeypatch.setattr(classify, "iter_circ", no_scan)
+    for g in bad:
+        assert main(["classify", g.label, "--json", "--cache-dir", str(tmp_path), *mode]) == 0
+        assert capsys.readouterr().out == cold_out[g.label], g.label
 
 
 def test_cached_verdict_recovers_from_corruption(tmp_path):
@@ -206,7 +249,7 @@ def test_cached_verdict_recovers_from_undecodable_table(tmp_path):
     store_verdict(g, False, is_good(g), tmp_path)
     entry = next(tmp_path.glob("*.json"))
     obj = json.loads(entry.read_bytes())
-    obj["payload"]["witness"]["brace"]["circ"][0] = [1, 1, 2, 3, 4, 5, 6, 7]
+    obj["payload"]["brace"]["circ"][0] = [1, 1, 2, 3, 4, 5, 6, 7]
     entry.write_text(json.dumps(obj))
     with pytest.warns(UserWarning, match="corrupt cache entry"):
         assert cached_verdict(g, False, tmp_path) is None
@@ -219,7 +262,7 @@ def test_is_good_uses_cache(tmp_path):
     assert cached_verdict(g, False, tmp_path) == miss
     hit = is_good(g, cache_dir=tmp_path)
     assert hit == miss
-    # a good verdict has no witness to replay, so it is never stored
+    # a good verdict has no witness to recompute, so it is never stored
     good = census_lookup("C9")
     assert is_good(good, cache_dir=tmp_path / "good").good
     assert not (tmp_path / "good").exists()

@@ -14,8 +14,7 @@ from braceforge.classify import (_scan_enumeration, c_group_check, direct_factor
                                  first_failure, heuristic_characteristic_count,
                                  heuristic_subgroup_containment,
                                  heuristic_subgroup_count, is_good,
-                                 replay_witness, theorem_predicate, verify_theorem,
-                                 verify_witness)
+                                 theorem_predicate, verify_theorem, verify_witness)
 from braceforge.constructions import example_p_odd, example_pq, example_q8
 from braceforge.enumeration import enumerate_circ
 from braceforge.groups import (FiniteGroup, direct_product, make_abelian, make_cyclic,
@@ -170,7 +169,7 @@ def test_a_brace_builds_gamma_at_most_once(monkeypatch, census_braces):
         hg_descriptor(b)
         w = first_failure(b)
         if w is not None:
-            replay_witness(w)
+            verify_witness(w)
         assert calls <= 1, b.label
 
 
@@ -185,7 +184,7 @@ def test_verify_witness_rejects_tampering():
         verify_witness(w._replace(kind="mystery"))
     with pytest.raises(ValueError, match="identity"):
         verify_witness(w._replace(subgroup=tuple(m for m in w.subgroup if m != 0)))
-    # indices a cache file could smuggle in: negative ones would wrap around
+    # indices a hand-built witness could carry: negative ones would wrap around
     with pytest.raises(ValueError, match="in range"):
         verify_witness(w._replace(failing=(-1, w.failing[1])))
     with pytest.raises(ValueError, match="in range"):

@@ -16,8 +16,8 @@ from braceforge.jsonio import (BUNDLE_SCHEMA, SchemaError, brace_from_obj,
                                brace_to_obj, canonical_bytes, canonical_dumps,
                                descriptor_from_obj, descriptor_to_obj,
                                group_from_obj, group_to_obj, loads, parse, serialize,
-                               theorem_report_to_obj, verdict_from_obj,
-                               verdict_to_obj, witness_from_obj, witness_to_obj)
+                               theorem_report_to_obj, verdict_entry_from_obj,
+                               verdict_to_obj)
 from braceforge.report import hg_descriptor, report_bundle
 
 
@@ -118,33 +118,22 @@ def test_brace_from_obj_rejects_corrupt_circ():
         brace_from_obj(obj)
 
 
-def test_witness_and_verdict_round_trip():
+def test_verdict_to_obj_layout():
+    # the layout `classify --json` prints
     v = is_good(census_lookup("Q8"), exhaustive=True)
     obj = json.loads(canonical_dumps(verdict_to_obj(v)))
-    back = verdict_from_obj(obj)
-    assert back == v
-
     w = v.witness
-    w2 = witness_from_obj(json.loads(canonical_dumps(witness_to_obj(w))))
-    assert w2 == w
+    assert obj == {"group": "Q8", "good": False, "braces_examined": v.braces_examined,
+                   "exhaustive": True,
+                   "witness": {"brace": brace_to_obj(w.brace), "subgroup": list(w.subgroup),
+                               "failing": list(w.failing), "kind": w.kind}}
+    assert verdict_to_obj(is_good(census_lookup("C15")))["witness"] is None
 
 
-def test_good_verdict_round_trip():
-    v = is_good(census_lookup("C15"))
-    assert verdict_from_obj(verdict_to_obj(v)) == v
-
-
-def test_witness_from_obj_rejects_bad_kind():
-    w = is_good(census_lookup("Q8")).witness
-    obj = witness_to_obj(w)
-    obj["kind"] = "sideways"
-    with pytest.raises(SchemaError) as exc:
-        witness_from_obj(obj)
-    assert exc.value.path == "$.kind"
-
-
-def _q8_verdict():
-    return verdict_to_obj(is_good(census_lookup("Q8")))
+def _q8_entry():
+    # a cached bad verdict: the witness brace and the count
+    v = is_good(census_lookup("Q8"))
+    return {"brace": brace_to_obj(v.witness.brace), "braces_examined": v.braces_examined}
 
 
 def _q8_descriptor():
@@ -153,9 +142,7 @@ def _q8_descriptor():
 
 # field -> (encoded object, its decoder, the keys that lead to one int in it)
 _BOOL_CASES = {
-    "subgroup": (_q8_verdict, verdict_from_obj, ("witness", "subgroup", -1)),
-    "failing": (_q8_verdict, verdict_from_obj, ("witness", "failing", -1)),
-    "braces_examined": (_q8_verdict, verdict_from_obj, ("braces_examined",)),
+    "braces_examined": (_q8_entry, verdict_entry_from_obj, ("braces_examined",)),
     "order": (lambda: group_to_obj(census_lookup("C1")), group_from_obj, ("order",)),
     "gamma_orbits": (_q8_descriptor, descriptor_from_obj, ("gamma_orbits", 1, -1)),
     "members": (_q8_descriptor, descriptor_from_obj, ("lattice", 1, "members", -1)),
@@ -163,9 +150,7 @@ _BOOL_CASES = {
 }
 
 
-@pytest.mark.parametrize("field, path", [("subgroup", "$.witness.subgroup"),
-                                         ("failing", "$.witness.failing"),
-                                         ("braces_examined", "$.braces_examined"),
+@pytest.mark.parametrize("field, path", [("braces_examined", "$.braces_examined"),
                                          ("order", "$.order"),
                                          ("gamma_orbits", "$.gamma_orbits"),
                                          ("members", "$.lattice[1].members"),
@@ -264,10 +249,10 @@ def test_parse_refuses_undecodable_bytes_at_the_root(data):
 @pytest.mark.parametrize("count", [-7, 0])
 def test_verdict_from_obj_rejects_a_count_below_one(count):
     # every scan examines at least the trivial brace
-    obj = _q8_verdict()
+    obj = _q8_entry()
     obj["braces_examined"] = count
     with pytest.raises(SchemaError, match="expected a positive int") as exc:
-        verdict_from_obj(obj)
+        verdict_entry_from_obj(obj)
     assert exc.value.path == "$.braces_examined"
 
 
