@@ -10,11 +10,15 @@ recompute: the witness brace and `braces_examined`.  The brace is read back
 through the one JSON decoder and the validating parser that read user
 input, on the requested group's table; the witness is then recomputed from
 it by `first_failure`, and the rest of the verdict comes from the request.
-Those two stored fields are the entry's only unverified claims:
-`braces_examined` is only checked to be at least 1, and nothing checks that
-the brace is the first bad one the scan meets.  An entry that fails any
-check, or whose brace has no failing circ-subgroup, is recomputed with a
-warning.  A good verdict has no witness to recompute, so it is never stored.
+The brace's label `<group>-op<i>` names its enumeration index i, which the
+scan ties to `braces_examined`: in first-failure mode the witness is the
+last brace examined, so i must be `braces_examined - 1`; in exhaustive mode
+i must be below `braces_examined`.  What stays unverified is the count
+itself (only checked to be at least 1), the exhaustive index, and that the
+brace is the i-th one the enumeration yields and the first bad one.  An
+entry that fails any check, or whose brace has no failing circ-subgroup, is
+recomputed with a warning.  A good verdict has no witness to recompute, so
+it is never stored.
 Enumerations are not cached: validating a stored one costs about as much as
 recomputing it.
 """
@@ -93,6 +97,17 @@ def _verdict_entry(group: FiniteGroup, exhaustive: bool, cache_dir) -> tuple[Pat
     return Path(cache_dir) / f"{name}.json", key
 
 
+def _scan_reaches(label: str, group: FiniteGroup, examined: int, exhaustive: bool) -> bool:
+    """Whether `label` is `<group>-op<i>` for the enumeration index i the scan
+    fixes: the last brace examined in first-failure mode, any one of them in
+    exhaustive mode."""
+    if not exhaustive:
+        return label == f"{group.label}-op{examined - 1}"
+    index = label.removeprefix(f"{group.label}-op")
+    return (index.isdecimal() and len(index) <= len(str(examined))
+            and label == f"{group.label}-op{int(index)}" and int(index) < examined)
+
+
 def cached_verdict(group: FiniteGroup, exhaustive: bool,
                    cache_dir: str | os.PathLike) -> Verdict | None:
     """The stored bad verdict, its witness recomputed from the stored brace, or None."""
@@ -108,6 +123,9 @@ def cached_verdict(group: FiniteGroup, exhaustive: bool,
     witness = first_failure(brace)
     if witness is None:
         _corrupt(path, "the stored brace has no failing circ-subgroup")
+        return None
+    if not _scan_reaches(brace.label, group, examined, exhaustive):
+        _corrupt(path, f"label {brace.label!r} contradicts braces_examined = {examined}")
         return None
     return Verdict(group_label=group.label, good=False, witness=witness,
                    braces_examined=examined, exhaustive=exhaustive)

@@ -12,12 +12,13 @@ braces up to the first bad one; `--exhaustive` still scans them all.
 
 from __future__ import annotations
 
+from collections import Counter
 from typing import Iterable, NamedTuple
 
 from .braces import SkewBrace, left_ideal_flags, left_ideal_status, validate
 from .census import CENSUS_MAX_ORDER, census
 from .enumeration import iter_circ
-from .groups import FiniteGroup, Subgroup, cyclic_subgroups, direct_product, subgroups
+from .groups import FiniteGroup, cyclic_subgroups, direct_product, subgroups
 from .morphisms import characteristic_subgroups
 
 
@@ -205,20 +206,12 @@ class CharacteristicMatchSignal(NamedTuple):
     count: int
 
 
-def _order_histogram(subs: Iterable[Subgroup]) -> dict[int, int]:
-    out: dict[int, int] = {}
-    for s in subs:
-        out[s.order] = out.get(s.order, 0) + 1
-    return out
-
-
 def heuristic_subgroup_count(b: SkewBrace) -> SubgroupCountSignal | None:
-    circ_h = _order_histogram(subgroups(b.circ))
-    dot_h = _order_histogram(subgroups(b.dot))
+    circ_h = Counter(s.order for s in subgroups(b.circ))
+    dot_h = Counter(s.order for s in subgroups(b.dot))
     for k in sorted(circ_h):
-        if circ_h[k] > dot_h.get(k, 0):
-            return SubgroupCountSignal(order=k, circ_count=circ_h[k],
-                                       dot_count=dot_h.get(k, 0))
+        if circ_h[k] > dot_h[k]:
+            return SubgroupCountSignal(order=k, circ_count=circ_h[k], dot_count=dot_h[k])
     return None
 
 
@@ -268,14 +261,17 @@ def direct_factor_witness(witness: Witness, other: FiniteGroup) -> Witness:
 
 
 def c_group_check(group: FiniteGroup) -> bool:
-    """Whether every Sylow subgroup is cyclic."""
+    """Whether every Sylow subgroup is cyclic.
+
+    A Sylow p-subgroup of order p^k is cyclic exactly when the group has an
+    element of order p^k: that element generates a Sylow p-subgroup, and all
+    of them are conjugate.
+    """
     n = group.order
-    subs = subgroups(group)
     for p in _prime_divisors(n):
         pk = 1
         while n % (pk * p) == 0:
             pk *= p
-        sylow = next(s for s in subs if s.order == pk)
-        if pk not in (group.element_orders[m] for m in sylow.members):
+        if pk not in group.element_orders:
             return False
     return True

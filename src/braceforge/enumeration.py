@@ -21,40 +21,23 @@ stream.
 
 from __future__ import annotations
 
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from .braces import BraceValidationError, SkewBrace, validate
 from .census import CENSUS_MAX_ORDER, CensusCapError, label_or_unknown
-from .groups import FiniteGroup, Frozen
+from .groups import FiniteGroup
 from .morphisms import automorphism_group
 from .perms import Perm, compose, identity_perm, invert, perm_order
 
 Table = tuple[tuple[int, ...], ...]
 
 
-class BraceEnumeration(Frozen):
-    """Every compatible operation on `additive`, with the partitions computed so far.
-
-    Equality and hash cover all four fields.  Not a NamedTuple so that it
-    can be weakly referenced.
-    """
-
-    _fields = ("additive", "operations", "iso_classes", "by_mult_type")
-
-    def __init__(self, additive: FiniteGroup, operations: tuple[SkewBrace, ...],
-                 iso_classes: tuple[tuple[int, ...], ...] | None = None,
-                 by_mult_type: tuple[tuple[str, tuple[int, ...]], ...] | None = None) -> None:
-        object.__setattr__(self, "additive", additive)
-        object.__setattr__(self, "operations", operations)
-        object.__setattr__(self, "iso_classes", iso_classes)
-        object.__setattr__(self, "by_mult_type", by_mult_type)
-
-    def _key(self) -> tuple:
-        return self.additive, self.operations, self.iso_classes, self.by_mult_type
-
-    def _replace(self, **changes) -> "BraceEnumeration":
-        """A new enumeration with the given fields changed, as `NamedTuple._replace`."""
-        return BraceEnumeration(**{**vars(self), **changes})
+class BraceEnumeration(NamedTuple):
+    """Every compatible operation on `additive`, with the partitions computed so far."""
+    additive: FiniteGroup
+    operations: tuple[SkewBrace, ...]
+    iso_classes: tuple[tuple[int, ...], ...] | None = None
+    by_mult_type: tuple[tuple[str, tuple[int, ...]], ...] | None = None
 
     @property
     def count(self) -> int:

@@ -19,13 +19,15 @@ class CayleyTableError(ValueError):
 
 
 class Frozen:
-    """Base of the package's frozen classes.
+    """Base of the package's two frozen classes, `FiniteGroup` and `SkewBrace`.
 
-    A subclass sets its fields in `__init__` with `object.__setattr__`, lists
-    them in `_fields` for the `Name(field=value, ...)` repr, and returns the
-    compared ones from `_key()` as a plain tuple, since equality and hash run
-    on every memo lookup.  No attribute can be assigned or deleted, and an
-    instance of another class is never equal.
+    They are not NamedTuples because their equality and hash ignore their
+    `label`; every other record of the package is a NamedTuple.  A subclass
+    sets its fields in `__init__` with `object.__setattr__`, lists them in
+    `_fields` for the `Name(field=value, ...)` repr, and returns the compared
+    ones from `_key()` as a plain tuple, since equality and hash run on every
+    memo lookup.  No attribute can be assigned or deleted, and an instance of
+    another class is never equal.
     """
 
     _fields: tuple[str, ...] = ()
@@ -178,9 +180,7 @@ class FiniteGroup(Frozen):
 
     @cached_property
     def is_abelian(self) -> bool:
-        t = self.table
-        n = self.order
-        return all(t[a][b] == t[b][a] for a in range(n) for b in range(a + 1, n))
+        return len(self.center) == self.order
 
     @cached_property
     def is_cyclic(self) -> bool:

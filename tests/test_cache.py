@@ -10,6 +10,7 @@ import subprocess
 import sys
 import textwrap
 from pathlib import Path
+from statistics import median
 
 import pytest
 
@@ -141,6 +142,42 @@ def test_entry_in_the_full_verdict_layout_is_refused(capsys, tmp_path):
     assert capsys.readouterr().out == expected
 
 
+def test_cached_label_the_scan_contradicts_is_refused(capsys, tmp_path):
+    # in first-failure mode the witness is the last brace examined, so its
+    # label must be `S3-op<braces_examined - 1>`
+    assert main(["classify", "S3", "--json", "--no-cache"]) == 0
+    expected = capsys.readouterr().out
+    assert main(["classify", "S3", "--json", "--cache-dir", str(tmp_path)]) == 0
+    capsys.readouterr()
+    entry = next(tmp_path.glob("*.json"))
+    obj = json.loads(entry.read_bytes())
+    assert (obj["payload"]["brace"]["label"], obj["payload"]["braces_examined"]) == ("S3-op4", 5)
+    obj["payload"]["brace"]["label"] = "S3-op2"
+    entry.write_text(json.dumps(obj))
+    with pytest.warns(UserWarning, match="corrupt cache entry"):
+        assert main(["classify", "S3", "--json", "--cache-dir", str(tmp_path)]) == 0
+    assert capsys.readouterr().out == expected
+
+
+@pytest.mark.parametrize("exhaustive", [False, True], ids=["first-failure", "exhaustive"])
+def test_cached_label_outside_the_scan_is_refused(tmp_path, exhaustive):
+    g = census_lookup("S3")
+    expected = is_good(g, exhaustive=exhaustive, cache_dir=tmp_path)
+    examined = expected.braces_examined
+    entry = next(tmp_path.glob("*.json"))
+    obj = json.loads(entry.read_bytes())
+    # an index past the scan, one that does not parse, or another group's
+    for label in [f"S3-op{examined}", "S3-op04", "S3-op", "S3-op-1", "S3-op4 ", "S3-op\u0664",
+                  "S3-op\u00b2", "S3-op" + "9" * 5000, "C6-op4", "s3-op4", "S3-circ4"]:
+        obj["payload"]["brace"]["label"] = label
+        entry.write_text(json.dumps(obj))
+        with pytest.warns(UserWarning, match="contradicts braces_examined"):
+            assert cached_verdict(g, exhaustive, tmp_path) is None, label
+    with pytest.warns(UserWarning, match="corrupt cache entry"):
+        assert is_good(g, exhaustive=exhaustive, cache_dir=tmp_path) == expected
+    assert cached_verdict(g, exhaustive, tmp_path) == expected  # rewritten
+
+
 def test_cached_witness_on_an_incompatible_circ_group_is_refused(tmp_path):
     # a valid group table passes from_table, so validate's circ-generator
     # check is what must refuse it
@@ -160,6 +197,10 @@ def test_cached_witness_on_an_incompatible_circ_group_is_refused(tmp_path):
     assert cached_verdict(g, False, tmp_path) == expected  # rewritten
 
 
+def _no_scan(group):
+    raise AssertionError(f"{group.label} was scanned on a warm cache")
+
+
 @pytest.mark.parametrize("exhaustive", [False, True], ids=["first-failure", "exhaustive"])
 def test_warm_equals_cold_across_the_census(monkeypatch, capsys, tmp_path, exhaustive):
     mode = ["--exhaustive"] if exhaustive else []
@@ -173,10 +214,7 @@ def test_warm_equals_cold_across_the_census(monkeypatch, capsys, tmp_path, exhau
         assert main(["classify", g.label, "--json", "--no-cache", *mode]) == 0
         cold_out[g.label] = capsys.readouterr().out
 
-    def no_scan(group):
-        raise AssertionError(f"{group.label} was scanned on a warm cache")
-
-    monkeypatch.setattr(classify, "iter_circ", no_scan)
+    monkeypatch.setattr(classify, "iter_circ", _no_scan)
     for g in bad:
         assert main(["classify", g.label, "--json", "--cache-dir", str(tmp_path), *mode]) == 0
         assert capsys.readouterr().out == cold_out[g.label], g.label
@@ -289,7 +327,21 @@ def _run_theorem(cache_dir: Path) -> tuple[float, bytes]:
 
 
 def test_warm_cache_is_at_least_5x_faster(tmp_path):
-    cold_time, cold_out = _run_theorem(tmp_path)
-    warm_time, warm_out = _run_theorem(tmp_path)
-    assert warm_out == cold_out
-    assert warm_time * 5 <= cold_time, (cold_time, warm_time)
+    # alternating cold/warm pairs, each in a fresh cache directory, compared
+    # by their medians, so one load spike moves one sample, not the verdict
+    cold, warm = [], []
+    for k in range(3):
+        cold_time, cold_out = _run_theorem(tmp_path / str(k))
+        warm_time, warm_out = _run_theorem(tmp_path / str(k))
+        assert warm_out == cold_out
+        cold.append(cold_time)
+        warm.append(warm_time)
+    assert median(warm) * 5 <= median(cold), (cold, warm)
+
+
+def test_warm_exhaustive_call_runs_no_search(monkeypatch, tmp_path):
+    # what the speedup rests on, which host load cannot move
+    bad = [e.group for e in census() if not is_good(e.group).good]
+    cold = [is_good(g, exhaustive=True, cache_dir=tmp_path) for g in bad]
+    monkeypatch.setattr(classify, "iter_circ", _no_scan)
+    assert [is_good(g, exhaustive=True, cache_dir=tmp_path) for g in bad] == cold

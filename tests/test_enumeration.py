@@ -293,10 +293,14 @@ def test_buckets_are_built_only_for_slots_the_search_picks(monkeypatch, census15
 
 
 def test_enumerate_circ_keeps_no_enumeration_alive():
-    # the caller holds an enumeration; the library keeps no reference to it
-    held = weakref.ref(enumerate_circ(relabel(census_lookup("D8"), "D8-held")))
+    # the caller holds an enumeration; the library keeps none of its braces
+    # (not its additive group: automorphism_group's one-entry memo holds that)
+    enum = enumerate_circ(relabel(census_lookup("D8"), "D8-held"))
+    held = [weakref.ref(b) for b in enum.operations]
+    assert len(held) == 20
+    del enum
     gc.collect()
-    assert held() is None
+    assert all(ref() is None for ref in held)
 
 
 

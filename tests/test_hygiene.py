@@ -3,7 +3,8 @@ every private module-level name of the package is used somewhere in it, no
 package module imports another module's private name, only `jsonio` writes
 JSON, only `jsonio.loads` decodes it, no package module imports a process
 pool or `dataclasses` (and importing the CLI loads neither `dataclasses` nor
-`inspect`), only `groups.Frozen` defines the frozen-instance dunders, every
+`inspect`), only `groups.Frozen` defines the frozen-instance dunders, each
+of its subclasses is allowlisted with the reason it is not a NamedTuple, every
 memo without a bound is allowlisted with a reason, every
 public function, class and method of the package has a caller outside the
 unit tests or a stated reason, every package name the benchmark child reads
@@ -328,6 +329,25 @@ def test_scan_sees_frozen_dunders():
                      "        pass\nclass B(A):\n    __repr__: object = object.__repr__\n"
                      "    class C:\n        def __setattr__(self, n, v):\n            pass\n")
     assert _frozen_dunders(tree) == ["A.__eq__", "A.__hash__", "B.__repr__", "C.__setattr__"]
+
+
+# hand-written classes, each with the reason it is not a NamedTuple
+FROZEN_SUBCLASSES = {
+    "groups.FiniteGroup": "equality ignores label; cached properties need `__dict__`",
+    "braces.SkewBrace": "equality ignores label",
+}
+
+
+def test_every_frozen_subclass_has_a_reason():
+    for p in PACKAGE:
+        if p.stem != "__main__":  # running it would start the CLI
+            importlib.import_module(f"braceforge.{p.stem}")
+    from braceforge.groups import Frozen
+    found = {f"{c.__module__.removeprefix('braceforge.')}.{c.__qualname__}"
+             for c in Frozen.__subclasses__()}
+    allowed = set(FROZEN_SUBCLASSES)
+    assert found == allowed, (f"Frozen subclasses with no reason: {sorted(found - allowed)}; "
+                              f"allowlisted but gone: {sorted(allowed - found)}")
 
 
 # process-lifetime memos with no bound, each kept for a reason

@@ -1,10 +1,10 @@
-"""The package's records and its three frozen classes.
+"""The package's records and its two frozen classes.
 
 Records are NamedTuples: field equality and hash, the `Name(field=value)`
-repr, immutability.  FiniteGroup, SkewBrace and BraceEnumeration are
-subclasses of `groups.Frozen` and keep the semantics of a frozen dataclass:
-equality and hash over the compared fields (a label is not one), never equal
-to another class, and no field can be assigned or deleted.
+repr, immutability, pickling.  FiniteGroup and SkewBrace are subclasses of
+`groups.Frozen` and keep the semantics of a frozen dataclass: equality and
+hash over the compared fields (a label is not one), never equal to another
+class, and no field can be assigned or deleted.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ import pytest
 from braceforge.braces import LeftIdealFlag, trivial, validate
 from braceforge.census import census, census_lookup
 from braceforge.classify import is_good
-from braceforge.enumeration import enumerate_circ
+from braceforge.enumeration import enumerate_circ, with_mult_types
 from braceforge.groups import FiniteGroup, relabel
 
 
@@ -25,14 +25,12 @@ def _hand_written():
     return {
         "FiniteGroup": s3,
         "SkewBrace": trivial(s3),
-        "BraceEnumeration": enumerate_circ(census_lookup("C4")),
     }
 
 
 FIELDS = {
     "FiniteGroup": ("table", "inv", "label"),
     "SkewBrace": ("dot", "circ", "label"),
-    "BraceEnumeration": ("additive", "operations", "iso_classes", "by_mult_type"),
 }
 HAND_WRITTEN = sorted(FIELDS)
 
@@ -104,6 +102,23 @@ def test_record_is_frozen():
     with pytest.raises(AttributeError):
         v.witness.kind = "gamma"
     assert v._replace(good=True).good and not v.good
+    enum = enumerate_circ(census_lookup("C4"))
+    for field in enum._fields:
+        with pytest.raises(AttributeError):
+            setattr(enum, field, None)
+        with pytest.raises(AttributeError):
+            delattr(enum, field)
+    with pytest.raises(AttributeError):
+        enum.not_a_field = 1
+    assert enum._replace(iso_classes=()).iso_classes == () and enum.iso_classes is None
+
+
+def test_enumeration_pickles_to_an_equal_hash():
+    # a pickle round trip rebuilds every nested object, so no part is shared
+    enum = with_mult_types(enumerate_circ(census_lookup("C4")))
+    twin = pickle.loads(pickle.dumps(enum))
+    assert twin is not enum and twin.additive is not enum.additive
+    assert twin == enum and hash(twin) == hash(enum)
 
 
 def test_reprs_keep_the_dataclass_form():
