@@ -1,26 +1,23 @@
-"""Content-addressed file cache for bad goodness verdicts.
+"""Content-addressed file cache for bad `--exhaustive` goodness verdicts.
 
 Entries are keyed by tool version, group label, a digest of the Cayley
-table, the scan mode and the payload layout, so a changed table, a new
-release or an older layout simply misses instead of serving stale data.
-Writes go through a temp file and an atomic rename.
+table and the payload layout, so a changed table, a new release or an older
+layout simply misses instead of serving stale data.  Writes go through a
+temp file and an atomic rename.
 
-Only bad verdicts are stored, and an entry holds only what a hit cannot
-recompute: the witness brace and `braces_examined`.  The brace is read back
-through the one JSON decoder and the validating parser that read user
-input, on the requested group's table; the witness is then recomputed from
-it by `first_failure`, and the rest of the verdict comes from the request.
-The brace's label `<group>-op<i>` names its enumeration index i, which the
-scan ties to `braces_examined`: in first-failure mode the witness is the
-last brace examined, so i must be `braces_examined - 1`; in exhaustive mode
-i must be below `braces_examined`.  What stays unverified is the count
-itself (only checked to be at least 1), the exhaustive index, and that the
-brace is the i-th one the enumeration yields and the first bad one.  An
-entry that fails any check, or whose brace has no failing circ-subgroup, is
-recomputed with a warning.  A good verdict has no witness to recompute, so
-it is never stored.
-Enumerations are not cached: validating a stored one costs about as much as
-recomputing it.
+A first-failure scan stops at the first bad brace, so its entry would save
+little and make two claims a hit cannot check; only bad exhaustive verdicts
+are stored (a good one has no witness to recompute).  An entry holds the
+witness brace and `braces_examined`.  The brace is read back through the
+one JSON decoder and the validating parser that read user input, on the
+requested group's table; the witness is then recomputed from it by
+`first_failure`, and the rest of the verdict comes from the request.  The
+brace's label `<group>-op<i>` must have i below `braces_examined`.  What
+stays unverified is the count itself (only checked to be at least 1), the
+index, and that the brace is the i-th one the enumeration yields and the
+first bad one.  An entry that fails any check, or whose brace has no failing
+circ-subgroup, is recomputed with a warning.  Enumerations are not cached:
+validating a stored one costs about as much as recomputing it.
 """
 
 from __future__ import annotations
@@ -35,18 +32,6 @@ from . import __version__
 from .classify import Verdict, first_failure
 from .groups import FiniteGroup
 from .jsonio import brace_to_obj, canonical_bytes, loads, verdict_entry_from_obj
-
-DEFAULT_CACHE_DIR = ".braceforge-cache"
-CACHE_DIR_ENV = "BRACEFORGE_CACHE_DIR"
-
-
-def resolve_cache_dir(explicit: str | os.PathLike | None = None) -> Path:
-    if explicit is not None:
-        return Path(explicit)
-    env = os.environ.get(CACHE_DIR_ENV)
-    if env:
-        return Path(env)
-    return Path(DEFAULT_CACHE_DIR)
 
 
 def table_digest(g: FiniteGroup) -> str:
@@ -88,30 +73,26 @@ def _load_payload(path: Path, key: str):
         return None
 
 
-def _verdict_entry(group: FiniteGroup, exhaustive: bool, cache_dir) -> tuple[Path, str]:
-    """The entry file and the key stored in it for one group and scan mode.
-    The key ends with the payload layout, so entries of an older one miss."""
-    mode = "exhaustive" if exhaustive else "first"
-    key = f"verdict:{__version__}:{group.label}:{table_digest(group)}:{mode}:brace"
+def _verdict_entry(group: FiniteGroup, cache_dir) -> tuple[Path, str]:
+    """The entry file and the key stored in it for one group.  The key ends
+    with the payload layout, so entries of an older one miss."""
+    key = f"verdict:{__version__}:{group.label}:{table_digest(group)}:brace"
     name = hashlib.sha256(key.encode("utf-8")).hexdigest()[:32]
     return Path(cache_dir) / f"{name}.json", key
 
 
-def _scan_reaches(label: str, group: FiniteGroup, examined: int, exhaustive: bool) -> bool:
-    """Whether `label` is `<group>-op<i>` for the enumeration index i the scan
-    fixes: the last brace examined in first-failure mode, any one of them in
-    exhaustive mode."""
-    if not exhaustive:
-        return label == f"{group.label}-op{examined - 1}"
+def _scan_reaches(label: str, group: FiniteGroup, examined: int) -> bool:
+    """Whether `label` is `<group>-op<i>` for an enumeration index i below
+    `examined`, written without sign, leading zero or non-ASCII digit."""
     index = label.removeprefix(f"{group.label}-op")
     return (index.isdecimal() and len(index) <= len(str(examined))
             and label == f"{group.label}-op{int(index)}" and int(index) < examined)
 
 
-def cached_verdict(group: FiniteGroup, exhaustive: bool,
-                   cache_dir: str | os.PathLike) -> Verdict | None:
-    """The stored bad verdict, its witness recomputed from the stored brace, or None."""
-    path, key = _verdict_entry(group, exhaustive, cache_dir)
+def cached_verdict(group: FiniteGroup, cache_dir: str | os.PathLike) -> Verdict | None:
+    """The stored bad exhaustive verdict, its witness recomputed from the
+    stored brace, or None."""
+    path, key = _verdict_entry(group, cache_dir)
     payload = _load_payload(path, key)
     if payload is None:
         return None
@@ -124,20 +105,23 @@ def cached_verdict(group: FiniteGroup, exhaustive: bool,
     if witness is None:
         _corrupt(path, "the stored brace has no failing circ-subgroup")
         return None
-    if not _scan_reaches(brace.label, group, examined, exhaustive):
+    if not _scan_reaches(brace.label, group, examined):
         _corrupt(path, f"label {brace.label!r} contradicts braces_examined = {examined}")
         return None
     return Verdict(group_label=group.label, good=False, witness=witness,
-                   braces_examined=examined, exhaustive=exhaustive)
+                   braces_examined=examined, exhaustive=True)
 
 
-def store_verdict(group: FiniteGroup, exhaustive: bool, verdict: Verdict,
+def store_verdict(group: FiniteGroup, verdict: Verdict,
                   cache_dir: str | os.PathLike) -> None:
-    """Store a bad verdict's witness brace and count; a good verdict has no
-    witness to recompute and is not kept."""
+    """Store a bad exhaustive verdict's witness brace and count; a good
+    verdict has no witness to recompute and is not kept.  A first-failure
+    verdict is refused, since its count is not the one a hit serves."""
+    if not verdict.exhaustive:
+        raise ValueError(f"{verdict.group_label}: only an exhaustive verdict is cached")
     if verdict.witness is None:
         return
-    path, key = _verdict_entry(group, exhaustive, cache_dir)
+    path, key = _verdict_entry(group, cache_dir)
     payload = {"brace": brace_to_obj(verdict.witness.brace),
                "braces_examined": verdict.braces_examined}
     _atomic_write(path, canonical_bytes({"key": key, "payload": payload}))

@@ -93,17 +93,18 @@ def is_good(group: FiniteGroup, *, exhaustive: bool = False,
     """Scan the compatible circ operations as `iter_circ` streams them, in
     enumeration order.  First-failure mode stops at the first bad brace, so the
     search and its table gates stop there too; `exhaustive` consumes the whole
-    stream (the recorded witness is the first failure either way).  With a
-    cache_dir, a stored bad verdict is used once its brace, re-validated on
-    this group, yields a witness again."""
-    if cache_dir is not None:
-        from .cache import cached_verdict, store_verdict
-        hit = cached_verdict(group, exhaustive, cache_dir)
-        if hit is not None:
-            return hit
+    stream (the recorded witness is the first failure either way).  An
+    exhaustive call with a cache_dir uses a stored bad verdict once its brace,
+    re-validated on this group, yields a witness again; a first-failure call,
+    whose scan is already short, ignores cache_dir."""
+    if not exhaustive or cache_dir is None:
+        return _scan_enumeration(group, iter_circ(group), exhaustive)
+    from .cache import cached_verdict, store_verdict
+    hit = cached_verdict(group, cache_dir)
+    if hit is not None:
+        return hit
     verdict = _scan_enumeration(group, iter_circ(group), exhaustive)
-    if cache_dir is not None:
-        store_verdict(group, exhaustive, verdict, cache_dir)
+    store_verdict(group, verdict, cache_dir)
     return verdict
 
 

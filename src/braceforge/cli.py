@@ -15,7 +15,6 @@ from pathlib import Path
 
 from . import __version__
 from .braces import BraceRelationError, BraceValidationError, SkewBrace, almost_trivial, gamma, trivial
-from .cache import resolve_cache_dir
 from .census import CENSUS_MAX_ORDER, CensusCapError, census, census_lookup, label_or_unknown
 from .classify import Verdict, first_failure, is_good, verify_theorem
 from .constructions import (brace_order4_nontrivial, example_c2cubed, example_cn_even,
@@ -26,6 +25,10 @@ from .jsonio import (SchemaError, brace_from_obj, brace_to_obj, canonical_dumps,
                      enumeration_to_obj, group_from_obj, group_to_obj, loads, serialize,
                      theorem_report_to_obj, verdict_to_obj)
 from .report import render_dot, report_bundle
+
+
+DEFAULT_CACHE_DIR = ".braceforge-cache"
+CACHE_DIR_ENV = "BRACEFORGE_CACHE_DIR"
 
 
 class UsageError(Exception):
@@ -76,13 +79,23 @@ def _resolve_brace(target: str) -> SkewBrace:
         raise UsageError(f"{target}: {exc}") from exc
 
 
+def resolve_cache_dir(explicit: str | os.PathLike | None = None) -> Path:
+    if explicit is not None:
+        return Path(explicit)
+    env = os.environ.get(CACHE_DIR_ENV)
+    if env:
+        return Path(env)
+    return Path(DEFAULT_CACHE_DIR)
+
+
 def _cache_dir(args) -> Path | None:
     if args.no_cache:
         return None
     return resolve_cache_dir(args.cache_dir)
 
 
-def _add_cache_flags(p: argparse.ArgumentParser, note: str = "") -> None:
+def _add_cache_flags(p: argparse.ArgumentParser,
+                     note: str = "; used only with --exhaustive") -> None:
     p.add_argument("--cache-dir", metavar="PATH", default=None,
                    help="cache directory (default ./.braceforge-cache, "
                         "or $BRACEFORGE_CACHE_DIR)" + note)
@@ -372,7 +385,7 @@ def main(argv=None) -> int:
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)
         return 2
-    except OSError as exc:  # an unwritable --dot path, a --cache-dir that is a file
+    except OSError as exc:  # an unwritable --dot path, an --exhaustive --cache-dir that is a file
         print(f"error: {exc}", file=sys.stderr)
         return 2
     return code

@@ -7,9 +7,9 @@ sorted keys and fixed indentation, so equal objects give identical bytes.
 every error (no number field takes a bool), then runs the full mathematical
 validation (FiniteGroup.from_table and braces.validate) on every table,
 except a dot table the caller already trusts.  Groups, braces and report
-bundles are parsed from user files; a cached bad verdict is parsed as its
-two stored fields, the witness brace and the count of braces examined.  A
-full verdict and an enumeration are only written, as the output of
+bundles are parsed from user files; a cached bad exhaustive verdict is parsed
+as its two stored fields, the witness brace and the count of braces examined.
+A full verdict and an enumeration are only written, as the output of
 `classify --json` and `brace enumerate`.
 """
 
@@ -241,8 +241,8 @@ def verdict_to_obj(v: Verdict) -> dict:
 
 def verdict_entry_from_obj(obj: Any, path: str = "$",
                            dot: FiniteGroup | None = None) -> tuple[SkewBrace, int]:
-    """Parse a cached bad verdict: its witness brace, on the trusted `dot` group
-    if given, and the number of braces its scan examined."""
+    """Parse a cached bad exhaustive verdict: its witness brace, on the trusted
+    `dot` group if given, and the number of braces its scan examined."""
     d = _expect_dict(obj, path, {"brace", "braces_examined"})
     if not _is_int(d["braces_examined"]) or d["braces_examined"] < 1:
         # every scan examines at least the trivial brace

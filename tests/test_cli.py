@@ -430,7 +430,7 @@ def test_unwritable_dot_path_exits_2_without_traceback(tmp_path):
 def test_cache_dir_that_is_a_file_exits_2_without_traceback(tmp_path):
     path = tmp_path / "a-file"
     path.write_text("")
-    _assert_one_line_error(["classify", "C2", "--cache-dir", str(path)])
+    _assert_one_line_error(["classify", "C2", "--exhaustive", "--cache-dir", str(path)])
 
 
 def test_deeply_nested_json_exits_2_without_traceback(tmp_path):

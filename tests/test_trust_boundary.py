@@ -61,11 +61,11 @@ def _forge_good(payload):
 
 def test_forged_good_verdict_is_refused(capsys, tmp_path):
     cache = str(tmp_path)
-    _, expected, _ = run(capsys, "classify", "Q8", "--no-cache")
-    assert run(capsys, "classify", "Q8", "--cache-dir", cache) == (0, expected, "")
+    _, expected, _ = run(capsys, "classify", "Q8", "--exhaustive", "--no-cache")
+    assert run(capsys, "classify", "Q8", "--exhaustive", "--cache-dir", cache) == (0, expected, "")
     _edit(_entry(tmp_path, "verdict"), _forge_good)
     with pytest.warns(UserWarning, match="corrupt cache entry"):
-        code, out, _ = run(capsys, "classify", "Q8", "--cache-dir", cache)
+        code, out, _ = run(capsys, "classify", "Q8", "--exhaustive", "--cache-dir", cache)
     assert code == 0 and "verdict: bad" in out
     assert out == expected
 
@@ -79,10 +79,10 @@ SMALL = [e.group for e in census(8)]
 
 @pytest.fixture(scope="module")
 def verdict_cache(tmp_path_factory):
-    """Cache dir written by is_good over every group of order <= 8, and the
-    verdicts computed without a cache."""
+    """Cache dir written by exhaustive is_good over every group of order <= 8,
+    and the verdicts computed without a cache."""
     d = tmp_path_factory.mktemp("verdicts")
-    truth = {g.label: is_good(g, cache_dir=d).good for g in SMALL}
+    truth = {g.label: is_good(g, exhaustive=True, cache_dir=d).good for g in SMALL}
     assert truth == {g.label: is_good(g).good for g in SMALL}
     assert len(list(d.glob("*.json"))) == sum(not good for good in truth.values())
     return d, truth
@@ -127,7 +127,7 @@ def test_mutated_verdict_cache_never_changes_a_verdict(verdict_cache, data):
             _mutate(obj, data)
             (Path(tmp) / src.name).write_text(json.dumps(obj))
         for g in SMALL:
-            v = is_good(g, cache_dir=tmp)
+            v = is_good(g, exhaustive=True, cache_dir=tmp)
             assert v.good == truth[g.label], g.label
             if v.witness is not None:
                 verify_witness(v.witness)
