@@ -17,8 +17,6 @@ from . import __version__
 from .braces import BraceRelationError, BraceValidationError, SkewBrace, almost_trivial, gamma, trivial
 from .census import CENSUS_MAX_ORDER, CensusCapError, census, census_lookup, label_or_unknown
 from .classify import Verdict, first_failure, is_good, verify_theorem
-from .constructions import (brace_order4_nontrivial, example_c2cubed, example_cn_even,
-                            example_p_odd, example_pq, example_q8)
 from .enumeration import enumerate_circ, reduce_up_to_iso, with_mult_types
 from .groups import CayleyTableError, FiniteGroup, subgroups
 from .jsonio import (SchemaError, brace_from_obj, brace_to_obj, canonical_dumps,
@@ -219,19 +217,26 @@ def _cmd_verify_theorem(args) -> int:
     return 0 if report.all_match else 1
 
 
-# name -> (constructor, {parameter: default})
+# name -> {parameter: default}
 _EXAMPLES = {
-    "q8": (example_q8, {}),
-    "c2cubed": (example_c2cubed, {}),
-    "cn-even": (example_cn_even, {"n": 4}),
-    "pq": (example_pq, {"p": 3, "q": 2, "n": 1, "m": 1}),
-    "p-odd": (example_p_odd, {"p": 3, "n": 1, "m": 1}),
-    "order4": (brace_order4_nontrivial, {}),
+    "q8": {},
+    "c2cubed": {},
+    "cn-even": {"n": 4},
+    "pq": {"p": 3, "q": 2, "n": 1, "m": 1},
+    "p-odd": {"p": 3, "n": 1, "m": 1},
+    "order4": {},
 }
 
 
 def _build_example(args) -> SkewBrace:
-    make, defaults = _EXAMPLES[args.name]
+    # imported here: no other command uses the constructions
+    from .constructions import (brace_order4_nontrivial, example_c2cubed, example_cn_even,
+                                example_p_odd, example_pq, example_q8)
+
+    make = {"q8": example_q8, "c2cubed": example_c2cubed, "cn-even": example_cn_even,
+            "pq": example_pq, "p-odd": example_p_odd,
+            "order4": brace_order4_nontrivial}[args.name]
+    defaults = _EXAMPLES[args.name]
     params = {k: default if getattr(args, k) is None else getattr(args, k)
               for k, default in defaults.items()}
     try:

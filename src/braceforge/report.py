@@ -21,7 +21,6 @@ each orbit under those few maps and never builds all n gamma maps.
 
 from __future__ import annotations
 
-import hashlib
 from functools import lru_cache
 from typing import NamedTuple
 
@@ -146,7 +145,11 @@ def brace_digest(b: SkewBrace) -> str:
     """Content hash of the two tables (labels excluded): the SHA-256 of
     repr((dot.table, circ.table)).  The dot table's text is built once per
     group, since many braces share one additive group; the circ table's text
-    is built per call, so nothing is kept per brace."""
+    is built per call, so nothing is kept per brace.  `hashlib` is imported
+    here, not at module top: it loads OpenSSL's `_hashlib`, and of the CLI
+    commands only `hg report` (and the `--exhaustive` cache) hashes."""
+    import hashlib
+
     payload = f"({b.dot._table_text}, {b.circ.table!r})".encode("ascii")
     return hashlib.sha256(payload).hexdigest()
 
