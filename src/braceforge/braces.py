@@ -53,9 +53,8 @@ class SkewBrace(Frozen):
 
     @property
     def is_almost_trivial(self) -> bool:
-        n = self.order
-        return all(self.circ.table[a][b] == self.dot.table[b][a]
-                   for a in range(n) for b in range(n))
+        # a o b == b . a for all a, b: circ's table is dot's transpose
+        return self.circ.table == tuple(zip(*self.dot.table))
 
 
 def validate(dot: FiniteGroup, circ: FiniteGroup, label: str = "") -> SkewBrace:

@@ -299,15 +299,7 @@ def _cmd_hg_report(args) -> int:
 # Parser
 # ---------------------------------------------------------------------------
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="braceforge",
-        description="Enumerate skew braces on small groups and report the "
-                    "Hopf-Galois structures they encode.")
-    parser.add_argument("--version", action="version", version=f"braceforge {__version__}")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p_group = sub.add_parser("group", help="inspect the built-in group census")
+def _add_group_commands(p_group: argparse.ArgumentParser) -> None:
     group_sub = p_group.add_subparsers(dest="group_command", required=True)
     p = group_sub.add_parser("list", help="list census labels")
     p.add_argument("--json", action="store_true")
@@ -317,7 +309,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_group_show)
 
-    p_brace = sub.add_parser("brace", help="enumerate or validate braces")
+
+def _add_brace_commands(p_brace: argparse.ArgumentParser) -> None:
     brace_sub = p_brace.add_subparsers(dest="brace_command", required=True)
     p = brace_sub.add_parser("enumerate", help="all compatible circ operations")
     p.add_argument("additive", help="census label or group JSON file")
@@ -331,7 +324,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_brace_check)
 
-    p = sub.add_parser("classify", help="decide whether a group is good")
+
+def _add_classify_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("target", help="census label or group JSON file")
     p.add_argument("--exhaustive", action="store_true",
                    help="scan every brace even after a failure")
@@ -339,7 +333,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_cache_flags(p)
     p.set_defaults(func=_cmd_classify)
 
-    p_verify = sub.add_parser("verify", help="verify the classification theorem")
+
+def _add_verify_commands(p_verify: argparse.ArgumentParser) -> None:
     verify_sub = p_verify.add_subparsers(dest="verify_command", required=True)
     p = verify_sub.add_parser("theorem", help="compare predicted and computed goodness")
     p.add_argument("--max-order", type=int, default=CENSUS_MAX_ORDER)
@@ -350,7 +345,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_cache_flags(p)
     p.set_defaults(func=_cmd_verify_theorem)
 
-    p = sub.add_parser("example", help="build one of the named bad constructions")
+
+def _add_example_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("name", choices=list(_EXAMPLES))
     p.add_argument("--n", type=int, default=None)
     p.add_argument("--m", type=int, default=None)
@@ -359,7 +355,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--json", action="store_true", help="emit only the brace JSON")
     p.set_defaults(func=_cmd_example)
 
-    p_hg = sub.add_parser("hg", help="Hopf-Galois structure reports")
+
+def _add_hg_commands(p_hg: argparse.ArgumentParser) -> None:
     hg_sub = p_hg.add_subparsers(dest="hg_command", required=True)
     p = hg_sub.add_parser("report", help="descriptor for one brace")
     p.add_argument("input", help="brace JSON file, trivial:LABEL, or almost-trivial:LABEL")
@@ -368,11 +365,44 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_hg_report)
 
+
+# top-level command -> (its help, what adds its arguments and subcommands)
+_COMMANDS = {
+    "group": ("inspect the built-in group census", _add_group_commands),
+    "brace": ("enumerate or validate braces", _add_brace_commands),
+    "classify": ("decide whether a group is good", _add_classify_arguments),
+    "verify": ("verify the classification theorem", _add_verify_commands),
+    "example": ("build one of the named bad constructions", _add_example_arguments),
+    "hg": ("Hopf-Galois structure reports", _add_hg_commands),
+}
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The CLI parser, with every top-level command built or only `command`.
+
+    A command other than `command` stays a bare entry with its help line,
+    which is all that the top-level help and an invalid-choice error read.
+    With no `command`, every command is built.
+    """
+    parser = argparse.ArgumentParser(
+        prog="braceforge",
+        description="Enumerate skew braces on small groups and report the "
+                    "Hopf-Galois structures they encode.")
+    parser.add_argument("--version", action="version", version=f"braceforge {__version__}")
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (help_text, add_arguments) in _COMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
+        if command is None or name == command:
+            add_arguments(p)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    if argv is None:
+        argv = sys.argv[1:]
+    # the top-level parser takes no option with a value, so the first word
+    # that is not an option is the command it will read
+    parser = build_parser(next((a for a in argv if not a.startswith("-")), ""))
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

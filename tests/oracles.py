@@ -14,7 +14,7 @@ along a bijection.
 from __future__ import annotations
 
 from itertools import combinations, permutations
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from braceforge.braces import (BraceRelationError, BraceValidationError, SkewBrace,
                                gamma, left_ideal_status, validate)
@@ -22,7 +22,7 @@ from braceforge.census import CENSUS_MAX_ORDER, CensusCapError, census
 from braceforge.classify import Witness
 from braceforge.groups import CayleyTableError, FiniteGroup, subgroups
 from braceforge.morphisms import are_isomorphic, automorphism_group, isomorphisms
-from braceforge.perms import is_permutation
+from braceforge.perms import Perm, compose, identity_perm, is_permutation, perm_order
 from braceforge.report import HGDescriptor
 
 ORACLE_MAX_ORDER = 6
@@ -219,6 +219,67 @@ def oracle_enumerate_circ(additive: FiniteGroup) -> list[Table]:
     return sorted(out)
 
 
+def oracle_regular_subgroup_tables(g: FiniteGroup) -> Iterator[Table]:
+    """The holomorph search as it stood before the clash pre-check: every
+    extension attempt builds the full pending list and copies the slots, and
+    only the closure rejects a clashing candidate."""
+    n = g.order
+    gens = g.generating_indices
+    ident = identity_perm(n)
+    auts = automorphism_group(g)
+    buckets: list[list[Perm] | None] = [None] * n
+
+    def bucket(t: int) -> list[Perm]:
+        # built when the search first picks slot t, then kept; slot 0 is never
+        # picked, since a second point-0 element collides with the identity
+        found = buckets[t]
+        if found is None:
+            found = []
+            for alpha in auts:
+                p = compose(g.table[t], alpha)
+                # only the identity of a regular subgroup fixes a point
+                if all(map(int.__ne__, p, ident)) and n % perm_order(p) == 0:
+                    found.append(p)
+            found.sort()
+            buckets[t] = found
+        return found
+
+    def try_extend(cov: list[Perm | None], chosen: tuple[Perm, ...]) -> list[Perm | None] | None:
+        # the subgroup so far is closed under every chosen element but the
+        # last, h; adding h closes it under right multiplication by all of them
+        h = chosen[-1]
+        pending = [(x, h) for x in cov if x is not None] + [(h, s) for s in chosen]
+        cov = list(cov)
+        cov[h[0]] = h
+        while pending:  # newest products first, so a clash shows early
+            u, v = pending.pop()
+            w = cov[u[v[0]]]
+            if w is None:
+                w = compose(u, v)
+                cov[w[0]] = w
+                pending += [(w, s) for s in chosen]
+            # the images of 0 and of the generators fix a holomorph element
+            elif any(u[v[k]] != w[k] for k in gens):
+                return None
+        if n % (n - cov.count(None)) != 0:  # Lagrange
+            return None
+        return cov
+
+    # Two tables first differ at a chosen slot, which is the least empty one,
+    # and each bucket is sorted, so the tables come out sorted and distinct.
+    def search(cov: list[Perm | None], chosen: tuple[Perm, ...]) -> Iterator[Table]:
+        if None not in cov:
+            yield tuple(cov)
+            return
+        for h in bucket(cov.index(None)):
+            grown = chosen + (h,)
+            ext = try_extend(cov, grown)
+            if ext is not None:
+                yield from search(ext, grown)
+
+    yield from search([ident] + [None] * (n - 1), ())
+
+
 def oracle_conjugacy_classes(g: FiniteGroup) -> list[tuple[int, ...]]:
     n, t = g.order, g.table
     seen = [False] * n
@@ -398,6 +459,12 @@ def oracle_gamma_orbits(b: SkewBrace) -> tuple[tuple[int, ...], ...]:
     return tuple(sorted(orbits))
 
 
+def oracle_is_almost_trivial(b: SkewBrace) -> bool:
+    """circ is the opposite of dot, entry by entry: a o b == b . a."""
+    n = b.order
+    return all(b.circ.table[a][c] == b.dot.table[c][a] for a in range(n) for c in range(n))
+
+
 def oracle_hg_descriptor(b: SkewBrace) -> HGDescriptor:
     """The descriptor from the circ group's own lattice, the exact left-ideal
     scan on every node, and breadth-first gamma orbits."""
@@ -405,7 +472,8 @@ def oracle_hg_descriptor(b: SkewBrace) -> HGDescriptor:
     return HGDescriptor(type_label=oracle_label(b.dot), galois_label=oracle_label(b.circ),
                         gamma_orbits=oracle_gamma_orbits(b), lattice=tuple(entries),
                         bijective=all(e.is_left_ideal for e in entries),
-                        classical=b.is_trivial, canonical_nonclassical=b.is_almost_trivial)
+                        classical=b.is_trivial,
+                        canonical_nonclassical=oracle_is_almost_trivial(b))
 
 
 def oracle_render_dot(d: HGDescriptor) -> str:

@@ -5,16 +5,17 @@ from __future__ import annotations
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from braceforge import braces
+from braceforge import braces, enumeration
 from braceforge.braces import (BraceRelationError, BraceValidationError, SkewBrace,
                                almost_trivial, gamma, left_ideal_flags, left_ideal_status,
                                left_ideals, trivial, validate)
 from braceforge.census import census, census_lookup
-from braceforge.groups import FiniteGroup, is_normal, make_cyclic, relabel, subgroups
+from braceforge.groups import (FiniteGroup, is_normal, make_abelian, make_cyclic, relabel,
+                               subgroups)
 from braceforge.perms import identity_perm
 
-from oracles import (brace_isomorphic, oracle_brace_isomorphic, oracle_validate, transport,
-                     transport_table)
+from oracles import (brace_isomorphic, oracle_brace_isomorphic, oracle_is_almost_trivial,
+                     oracle_validate, transport, transport_table)
 
 
 @pytest.mark.parametrize("label", ["C1", "C6", "S3", "Q8", "A4"])
@@ -128,6 +129,18 @@ def test_trivial_and_almost_trivial_flags():
     c6 = census_lookup("C6")
     # on an abelian group the two constructions coincide
     assert almost_trivial(c6).is_trivial
+
+
+def test_almost_trivial_flag_matches_the_entrywise_oracle(census15, census_braces):
+    checked = list(census_braces)
+    for e in census15:
+        checked += [trivial(e.group), almost_trivial(e.group)]
+    c4xc4 = make_abelian([4, 4])
+    checked += [validate(c4xc4, FiniteGroup.from_table(t))
+                for t in enumeration._regular_subgroup_tables(c4xc4)]
+    assert len(checked) == 498 + 2 * 28 + 880
+    assert [b.is_almost_trivial for b in checked] == list(map(oracle_is_almost_trivial, checked))
+    assert sum(b.is_almost_trivial for b in census_braces) == 28
 
 
 def test_gamma_of_trivial_brace_is_identity(census15):

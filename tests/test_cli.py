@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import argparse
 import hashlib
 import json
 import os
@@ -15,7 +16,7 @@ import pytest
 
 import braceforge
 from braceforge import __version__
-from braceforge.cli import main
+from braceforge.cli import build_parser, main
 from braceforge.constructions import example_q8
 from braceforge.groups import make_cyclic
 from braceforge.jsonio import (brace_to_obj, canonical_dumps, group_to_obj, parse)
@@ -39,6 +40,31 @@ def test_no_command_is_usage_error(capsys):
     assert main(["group"]) == 2
     assert main(["frobnicate"]) == 2
     capsys.readouterr()
+
+
+USAGE_GOLDEN = json.loads((Path(__file__).parent / "cli_usage_golden.json").read_text())
+
+
+@pytest.mark.parametrize("case", USAGE_GOLDEN, ids=lambda c: " ".join(c["argv"]) or "no-args")
+def test_help_and_usage_errors_match_the_recorded_bytes(capsys, monkeypatch, case):
+    # recorded with COLUMNS=80 when every command's arguments were built on
+    # every call; the parser now builds only the command being run
+    monkeypatch.setenv("COLUMNS", "80")
+    code, out, err = run(capsys, *case["argv"])
+    assert (code, out, err) == (case["code"], case["stdout"], case["stderr"])
+
+
+def test_usage_goldens_cover_every_leaf_command():
+    # every (sub)command's --help is pinned, so a command added later needs a golden
+    def leaves(parser, prefix):
+        subs = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+        if not subs:
+            yield prefix
+        for action in subs:
+            for name, child in action.choices.items():
+                yield from leaves(child, prefix + [name])
+    helped = {tuple(c["argv"][:-1]) for c in USAGE_GOLDEN if c["argv"][-1:] == ["--help"]}
+    assert {tuple(leaf) for leaf in leaves(build_parser(), [])} <= helped
 
 
 def test_group_list(capsys):

@@ -22,7 +22,7 @@ from braceforge.groups import (CayleyTableError, FiniteGroup, make_abelian, make
 from braceforge.morphisms import automorphism_group
 
 from oracles import (brace_isomorphic, oracle_enumerate_circ, oracle_orbit_partition,
-                     oracle_search_slots, transport)
+                     oracle_regular_subgroup_tables, oracle_search_slots, transport)
 
 # (label, operation count, isomorphism class count); summed per order, the
 # class counts 1 1 1 4 1 6 1 47 4 6 1 38 1 6 1 are Guarnieri-Vendramin's
@@ -100,6 +100,18 @@ def test_search_yields_tables_in_sorted_order(census15):
     for e in census15:
         tables = list(enumeration._regular_subgroup_tables(e.group))
         assert tables == sorted(set(tables)), e.label
+
+
+def test_search_matches_the_closure_only_oracle(census15):
+    # the clash pre-check rejects only candidates the closure rejects, so the
+    # table sequence, and with it every -op<i> label, is the oracle's
+    groups = [e.group for e in census15] + [make_abelian([4, 4]), make_abelian([4, 2, 2])]
+    sizes = []
+    for g in groups:
+        tables = list(enumeration._regular_subgroup_tables(g))
+        assert tables == list(oracle_regular_subgroup_tables(g)), g.label
+        sizes.append(len(tables))
+    assert sizes[-2:] == [880, 3152]
 
 
 def test_matches_bruteforce_oracle_up_to_order_6():
@@ -268,6 +280,27 @@ def test_search_composes_fewer_than_aut_squared_times(monkeypatch):
     monkeypatch.setattr(enumeration, "compose", counting)
     assert len(list(enumeration._regular_subgroup_tables(g))) == EXPECTED["C2xC2xC2"][0]
     assert calls < len(automorphism_group(g)) ** 2
+
+
+def test_census_search_composes_no_more_than_with_the_clash_pre_check(monkeypatch, census15):
+    # a deterministic work bound: the pre-check rejects most clashing
+    # candidates before the closure composes anything (closure alone:
+    # 6,938 calls over the census, 3,797 of them on C2xC2xC2)
+    real = enumeration.compose
+    calls = 0
+
+    def counting(p, q):
+        nonlocal calls
+        calls += 1
+        return real(p, q)
+    monkeypatch.setattr(enumeration, "compose", counting)
+    per_group = {}
+    for e in census15:
+        before = calls
+        list(enumeration._regular_subgroup_tables(e.group))
+        per_group[e.label] = calls - before
+    assert per_group["C2xC2xC2"] <= 2541
+    assert calls <= 5411
 
 
 def test_buckets_are_built_only_for_slots_the_search_picks(monkeypatch, census15):
