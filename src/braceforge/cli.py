@@ -377,12 +377,11 @@ _COMMANDS = {
 }
 
 
-def build_parser(command: str | None = None) -> argparse.ArgumentParser:
-    """The CLI parser, with every top-level command built or only `command`.
+def build_parser(command: str) -> argparse.ArgumentParser:
+    """The CLI parser, with arguments and subcommands for `command` only.
 
-    A command other than `command` stays a bare entry with its help line,
+    Every other top-level command stays a bare entry with its help line,
     which is all that the top-level help and an invalid-choice error read.
-    With no `command`, every command is built.
     """
     parser = argparse.ArgumentParser(
         prog="braceforge",
@@ -392,7 +391,7 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     for name, (help_text, add_arguments) in _COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
-        if command is None or name == command:
+        if name == command:
             add_arguments(p)
     return parser
 

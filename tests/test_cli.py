@@ -62,9 +62,13 @@ def test_usage_goldens_cover_every_leaf_command():
             yield prefix
         for action in subs:
             for name, child in action.choices.items():
-                yield from leaves(child, prefix + [name])
+                yield from leaves(child, prefix + (name,))
+    commands = list(leaves(build_parser(""), ()))
+    assert len(commands) == 6
+    found = {leaf for (name,) in commands for leaf in leaves(build_parser(name), ())
+             if leaf[0] == name}
     helped = {tuple(c["argv"][:-1]) for c in USAGE_GOLDEN if c["argv"][-1:] == ["--help"]}
-    assert {tuple(leaf) for leaf in leaves(build_parser(), [])} <= helped
+    assert len(found) == 8 and found | {()} <= helped
 
 
 def test_group_list(capsys):
