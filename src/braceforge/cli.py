@@ -229,6 +229,12 @@ _EXAMPLES = {
 
 
 def _build_example(args) -> SkewBrace:
+    defaults = _EXAMPLES[args.name]
+    extra = [f"--{k}" for k in "nmpq" if getattr(args, k) is not None and k not in defaults]
+    if extra:
+        takes = ", ".join(f"--{k}" for k in defaults) or "no parameters"
+        raise UsageError(f"example {args.name} does not take {', '.join(extra)}; "
+                         f"it takes {takes}")
     # imported here: no other command uses the constructions
     from .constructions import (brace_order4_nontrivial, example_c2cubed, example_cn_even,
                                 example_p_odd, example_pq, example_q8)
@@ -236,7 +242,6 @@ def _build_example(args) -> SkewBrace:
     make = {"q8": example_q8, "c2cubed": example_c2cubed, "cn-even": example_cn_even,
             "pq": example_pq, "p-odd": example_p_odd,
             "order4": brace_order4_nontrivial}[args.name]
-    defaults = _EXAMPLES[args.name]
     params = {k: default if getattr(args, k) is None else getattr(args, k)
               for k, default in defaults.items()}
     try:

@@ -14,9 +14,8 @@ earlier choices always fill is never picked, so its |Aut| candidates are
 never formed.
 
 Adding a candidate h to a node closes the subgroup under products, but
-first it tests the products that need no new element: h o s for each chosen
-s, and x o h for each element x already held, wherever the product lands on
-a slot filled before h.  A holomorph element is fixed by its images of 0
+first it tests the products h o s for each chosen s, h o h first, that land
+on a slot filled before h.  A holomorph element is fixed by its images of 0
 and of the generators, so such a product must agree with that slot's
 element at the generators.  Every pair tested is in the closure's first
 pending list, and a filled slot's element never changes, so a candidate
@@ -24,7 +23,10 @@ the pre-check rejects is one the closure rejects too: the set of accepted
 candidates, hence the tables and their order, is that of the closure
 alone.  Most candidates clash there (2,473 of the census's 3,900 extension
 attempts), and only the rest build the closure's pending list and copy the
-slots.
+slots.  The other first-level products x o h never land on a filled slot:
+those slots hold the group H that the earlier choices generate, each x in H
+permutes H's slots {y(0) : y in H}, and h(0) is not one of them, so neither
+is x(h(0)).
 
 The search is a generator, and `iter_circ` gates each table as it arrives, so
 a caller that stops at the first brace it wants (a first-failure `is_good`)
@@ -84,9 +86,10 @@ def _regular_subgroup_tables(g: FiniteGroup) -> Iterator[Table]:
         # last, h; adding h closes it under right multiplication by all of them
         h = chosen[-1]
         # pre-check, with no list built: the first-level products h o s
-        # (h o h first) and x o h that land on a slot filled before h, each
-        # against that slot's element.  The closure tests each of them too,
-        # on the same unchanged slot, so it rejects whatever this rejects.
+        # (h o h first) that land on a slot filled before h, each against
+        # that slot's element.  The closure tests each of them too, on the
+        # same unchanged slot, so it rejects whatever this rejects.  Each x o h
+        # lands on x(h(0)), an empty slot, since x permutes the filled ones.
         for s in reversed(chosen):
             w = cov[h[s[0]]]
             if w is not None:
@@ -94,13 +97,6 @@ def _regular_subgroup_tables(g: FiniteGroup) -> Iterator[Table]:
                     if h[s[k]] != w[k]:
                         return None
         h0 = h[0]
-        for x in cov:
-            if x is not None:
-                w = cov[x[h0]]
-                if w is not None:
-                    for k in gens:
-                        if x[h[k]] != w[k]:
-                            return None
         pending = [(x, h) for x in cov if x is not None] + [(h, s) for s in chosen]
         cov = list(cov)
         cov[h0] = h

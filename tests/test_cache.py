@@ -7,6 +7,7 @@ ignores the cache."""
 from __future__ import annotations
 
 import json
+import os
 import subprocess
 import sys
 import textwrap
@@ -17,7 +18,7 @@ import pytest
 
 from braceforge import classify, jsonio
 from braceforge.braces import BraceRelationError, trivial, validate
-from braceforge.cache import cached_verdict, store_verdict, table_digest
+from braceforge.cache import _atomic_write, cached_verdict, store_verdict, table_digest
 from braceforge.census import census, census_lookup
 from braceforge.classify import is_good, verify_witness
 from braceforge.cli import CACHE_DIR_ENV, DEFAULT_CACHE_DIR, main, resolve_cache_dir
@@ -250,6 +251,22 @@ def test_cached_verdict_recovers_from_corruption(tmp_path):
         assert is_good(g, exhaustive=True, cache_dir=tmp_path) == expected
     assert entry.read_bytes() == stored
 
+
+
+def test_failed_rename_leaves_no_temp_file(monkeypatch, capsys, tmp_path):
+    def refuse(src, dst):
+        raise OSError(f"cannot rename {src} to {dst}")
+    monkeypatch.setattr(os, "replace", refuse)
+    target = tmp_path / "direct" / "entry.json"
+    with pytest.raises(OSError, match="cannot rename"):
+        _atomic_write(target, b"{}")
+    assert list(target.parent.iterdir()) == []
+
+    cache = tmp_path / "cache"
+    assert main(["classify", "C4", "--exhaustive", "--cache-dir", str(cache)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: cannot rename ") and err.count("\n") == 1, err
+    assert list(cache.iterdir()) == []
 
 def test_deeply_nested_entry_is_recomputed(capsys, tmp_path):
     assert main(["classify", "Q8", "--no-cache", "--exhaustive"]) == 0

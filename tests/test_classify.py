@@ -193,6 +193,16 @@ def test_verify_witness_rejects_tampering():
         verify_witness(w._replace(subgroup=w.subgroup[::-1]))
 
 
+def test_verify_witness_rejects_a_pair_off_the_subgroup_and_a_gamma_that_holds():
+    w = is_good(census_lookup("Q8")).witness
+    outside = min(set(range(8)) - set(w.subgroup))
+    with pytest.raises(ValueError, match="failing pair must act on a member"):
+        verify_witness(w._replace(failing=(w.failing[0], outside)))
+    # gamma_0 is the identity, so it keeps every member inside the subgroup
+    with pytest.raises(ValueError, match="claimed gamma failure does not fail"):
+        verify_witness(w._replace(kind="gamma", failing=(0, w.subgroup[-1])))
+
+
 def test_verify_theorem_small():
     report = verify_theorem(10)
     assert report.max_order == 10

@@ -16,6 +16,7 @@ import pytest
 
 import braceforge
 from braceforge import __version__
+from braceforge.census import census_lookup
 from braceforge.cli import build_parser, main
 from braceforge.constructions import example_q8
 from braceforge.groups import make_cyclic
@@ -338,6 +339,29 @@ def test_example_rejects_bad_parameters(capsys):
     assert code == 2
 
 
+def _one_line_usage_error(capsys, *argv) -> str:
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    return err
+
+
+@pytest.mark.parametrize("argv", [[name, flag, "3"] for name in ("q8", "c2cubed", "order4")
+                                  for flag in ("--n", "--m", "--p", "--q")]
+                         + [["cn-even", "--m", "3"], ["p-odd", "--q", "3"]], ids=" ".join)
+def test_example_refuses_parameters_its_construction_does_not_take(capsys, argv):
+    err = _one_line_usage_error(capsys, "example", *argv)
+    assert f"example {argv[0]} does not take {argv[1]};" in err
+
+
+def test_example_accepts_every_parameter_its_construction_takes(capsys):
+    for argv, order in ([["pq", "--p", "5", "--q", "2", "--n", "1", "--m", "2"], 20],
+                        [["p-odd", "--p", "3", "--n", "2", "--m", "1"], 27],
+                        [["cn-even", "--n", "6"], 6]):
+        code, out, err = run(capsys, "example", *argv, "--json")
+        assert (code, err) == (0, "") and json.loads(out)["order"] == order
+
+
 def test_hg_report_sugar_and_dot(capsys, tmp_path):
     dot_path = tmp_path / "lattice.dot"
     code, out, _ = run(capsys, "hg", "report", "trivial:C2", "--dot", str(dot_path))
@@ -469,6 +493,33 @@ def test_deeply_nested_json_exits_2_without_traceback(tmp_path):
     for argv in (["group", "show", str(path)], ["brace", "check", str(path)],
                  ["hg", "report", str(path)]):
         _assert_one_line_error(argv)
+
+
+@pytest.mark.parametrize("command", [["hg", "report"], ["brace", "check"]])
+def test_a_directory_given_as_input_cannot_be_read(capsys, tmp_path, command):
+    err = _one_line_usage_error(capsys, *command, str(tmp_path))
+    assert err.startswith(f"error: cannot read {tmp_path}: ")
+
+
+def _s3_dot_with_c6_circ():
+    return {"order": 6, "label": "x", "dot": [list(r) for r in census_lookup("S3").table],
+            "circ": [list(r) for r in census_lookup("C6").table]}
+
+
+def _dot_row_replaced_by_an_int():
+    obj = brace_to_obj(example_q8())
+    obj["dot"][1] = 7
+    return obj
+
+
+@pytest.mark.parametrize("make, reason", [
+    (_s3_dot_with_c6_circ, "compatibility fails at (a, b, c) = (1, 1, 1)"),
+    (_dot_row_replaced_by_an_int, "$.dot[1]: expected a list of 8 ints"),
+])
+def test_hg_report_refuses_json_that_is_not_a_brace(capsys, tmp_path, make, reason):
+    path = tmp_path / "b.json"
+    path.write_text(canonical_dumps(make()))
+    assert _one_line_usage_error(capsys, "hg", "report", str(path)) == f"error: {path}: {reason}\n"
 
 
 def test_cli_subprocess_deterministic_across_worker_counts(tmp_path):

@@ -165,6 +165,19 @@ def test_semidirect_product_rejects_non_action():
         semidirect_product(n, h, [(0, 1, 2)])
 
 
+def test_constructors_reject_degenerate_parameters():
+    with pytest.raises(ValueError, match="order must be positive, got 0"):
+        make_cyclic(0)
+    with pytest.raises(ValueError, match="at least one factor"):
+        make_abelian([])
+    with pytest.raises(ValueError, match="must be >= 2, got 1"):
+        make_dicyclic(1)
+    n, h = make_cyclic(3), make_cyclic(2)
+    for entry in [(0, 0, 1), (0, 1), (0, 1, 2, 3)]:
+        with pytest.raises(ValueError, match=r"action\[1\] is not a permutation of 0\.\.2"):
+            semidirect_product(n, h, [(0, 1, 2), entry])
+
+
 def test_semidirect_product_s3_structure():
     s3 = semidirect_product(make_cyclic(3), make_cyclic(2), [(0, 1, 2), (0, 2, 1)])
     assert not s3.is_abelian

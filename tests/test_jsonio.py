@@ -118,6 +118,14 @@ def test_brace_from_obj_rejects_corrupt_circ():
         brace_from_obj(obj)
 
 
+def test_brace_from_obj_names_a_row_that_is_not_a_list():
+    obj = brace_to_obj(example_q8())
+    obj["dot"][1] = 7
+    with pytest.raises(SchemaError) as exc:
+        brace_from_obj(obj)
+    assert exc.value.path == "$.dot[1]"
+
+
 def test_verdict_to_obj_layout():
     # the layout `classify --json` prints
     v = is_good(census_lookup("Q8"), exhaustive=True)
@@ -211,6 +219,14 @@ def test_descriptor_from_obj_rejects_bad_failure_kind():
     with pytest.raises(SchemaError) as exc:
         descriptor_from_obj(obj)
     assert exc.value.path == "$.lattice[0].failure_kind"
+
+
+def test_descriptor_from_obj_rejects_a_lattice_that_is_not_a_list():
+    obj = descriptor_to_obj(hg_descriptor(example_q8()))
+    obj["lattice"] = {"members": [0]}
+    with pytest.raises(SchemaError) as exc:
+        descriptor_from_obj(obj)
+    assert exc.value.path == "$.lattice"
 
 
 def test_bundle_serialize_parse_round_trip():

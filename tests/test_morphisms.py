@@ -30,6 +30,12 @@ def test_isomorphisms_prunes_conflict():
     assert list(isomorphisms(d8, q8)) == []
 
 
+def test_isomorphisms_between_groups_of_unequal_order_yields_nothing():
+    c4, c8 = make_cyclic(4), make_cyclic(8)
+    assert list(isomorphisms(c4, c8)) == []
+    assert list(isomorphisms(c8, c4)) == []
+
+
 def test_automorphisms_match_oracle(census15):
     for e in census15:
         if e.order > 8:
