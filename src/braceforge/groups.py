@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from functools import cached_property
 from itertools import chain
+from operator import itemgetter
 from typing import Iterable, NamedTuple, Sequence
 
 from .perms import compose, identity_perm, is_permutation
@@ -92,12 +93,13 @@ class FiniteGroup(Frozen):
         ``generating_indices`` does: it adjoins each element outside the
         closure of {0} under right multiplication by the set so far, so
         every element is a product 0*g1*...*gm of generators, and computing
-        it needs nothing but the (range-checked) table.  One b costs a row
-        comparison per a, so the test is O(n^2 k) for k generators, and
-        k <= log2 n for a group, whose closures are subgroups that each new
-        generator at least doubles.  Only a failing table gets the full n^3
-        scan, which names the first non-associative triple.  The set is kept
-        as the group's ``generating_indices``.
+        it needs nothing but the (range-checked) table.  One b costs one
+        ``operator.itemgetter`` over row b, which composes each row a with
+        row b in C, plus a row comparison per a, so the test is O(n^2 k) for
+        k generators, and k <= log2 n for a group, whose closures are
+        subgroups that each new generator at least doubles.  Only a failing
+        table gets the full n^3 scan, which names the first non-associative
+        triple.  The set is kept as the group's ``generating_indices``.
 
         Only a table that passes every check returns, and only then is the
         group marked ``_axioms_checked``: the proof that it is a group with
@@ -128,8 +130,11 @@ class FiniteGroup(Frozen):
                 raise CayleyTableError(f"element {a} has no two-sided inverse")
             inv.append(b)
         group = cls(table=table, inv=tuple(inv), label=label)
-        if all(table[ra[b]] == compose(ra, table[b])
-               for ra in table for b in group.generating_indices):
+        # get(ra) is compose(ra, table[b]), built in C.  itemgetter with one
+        # index returns a scalar, not a tuple, but only n = 1 has one-entry
+        # rows, and that group has no generator, so no getter is built there.
+        getters = [(b, itemgetter(*table[b])) for b in group.generating_indices]
+        if all(table[ra[b]] == get(ra) for b, get in getters for ra in table):
             object.__setattr__(group, "_axioms_checked", True)
             return group
         for a, ra in enumerate(table):

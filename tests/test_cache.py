@@ -337,6 +337,9 @@ def test_is_good_uses_cache(tmp_path):
 
 _TIMING_SNIPPET = textwrap.dedent("""
     import sys, time
+    # loaded before t0: the timed span is the call, not compiling cache.py
+    # and loading hashlib, which cost the same cold and warm
+    import braceforge.cache
     from braceforge.cli import main
     t0 = time.perf_counter()
     code = main(["verify", "theorem", "--max-order", "12", "--exhaustive",

@@ -82,6 +82,76 @@ def test_from_table_seeds_the_greedy_generating_set(census15):
         assert g.generating_indices == built.generating_indices
 
 
+def _reduced_latin_squares(n):
+    """Every n x n Latin square whose first row and column are 0..n-1: the
+    loops on 0..n-1 with identity 0, so each passes the shape, range and
+    identity checks, and each row holds exactly one 0."""
+    rows = [list(range(n))] + [[a] + [0] * (n - 1) for a in range(1, n)]
+    in_col = [{b} for b in range(n)]
+    cells = [(a, b) for a in range(1, n) for b in range(1, n)]
+
+    def fill(i):
+        if i == len(cells):
+            yield tuple(map(tuple, rows))
+            return
+        a, b = cells[i]
+        for v in range(n):
+            if v not in in_col[b] and v not in rows[a][:b]:
+                rows[a][b] = v
+                in_col[b].add(v)
+                yield from fill(i + 1)
+                in_col[b].discard(v)
+    return list(fill(0))
+
+
+def _outcome(gate, rows):
+    try:
+        return gate(rows)
+    except CayleyTableError as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("n, squares, non_associative, groups_found",
+                         [(5, 56, 2, 6), (6, 9408, 1728, 80)])
+def test_from_table_matches_the_cubic_check_on_every_reduced_latin_square(
+        n, squares, non_associative, groups_found):
+    # unlike corrupted census tables, every loop reaches the inverse check,
+    # and each one with two-sided inverses reaches Light's test
+    tables = _reduced_latin_squares(n)
+    assert len(tables) == squares
+    results = [_outcome(FiniteGroup.from_table, t) for t in tables]
+    assert results == [_outcome(oracle_from_table, t) for t in tables]
+    assert sum(isinstance(r, str) and r.startswith("not associative at")
+               for r in results) == non_associative
+    found = [r for r in results if isinstance(r, FiniteGroup)]
+    assert len(found) == groups_found
+    assert all(g._axioms_checked for g in found)
+
+
+def test_from_table_marks_the_two_smallest_groups_checked():
+    # order 1 has no generator, so no row getter is built
+    for rows in ([[0]], [[0, 1], [1, 0]]):
+        assert FiniteGroup.from_table(rows)._axioms_checked
+
+
+def test_from_table_builds_one_row_getter_per_generator(monkeypatch, census_braces):
+    # a work bound that host load cannot move: Light's test composes through
+    # one itemgetter per generator, not one per (row, generator) pair
+    real = groups.itemgetter
+    built = 0
+
+    def counting(*items):
+        nonlocal built
+        built += 1
+        return real(*items)
+    monkeypatch.setattr(groups, "itemgetter", counting)
+    assert len(census_braces) == 498
+    for b in census_braces:
+        built = 0
+        g = FiniteGroup.from_table(b.circ.table)
+        assert built == len(g.generating_indices), b.label
+
+
 # ---------------------------------------------------------------------------
 # Constructors
 # ---------------------------------------------------------------------------
