@@ -33,7 +33,7 @@ from .groups import (CayleyTableError, FiniteGroup, Subgroup, cyclic_subgroups,
                      direct_product, make_abelian, make_alternating4, make_cyclic,
                      make_dicyclic, make_dihedral, make_quaternion8,
                      semidirect_product, subgroups)
-from .morphisms import are_isomorphic, automorphism_group, characteristic_subgroups
+from .morphisms import are_isomorphic, automorphism_group
 from .report import (HGDescriptor, ReportBundle, brace_digest, gamma_orbits,
                      hg_descriptor, render_dot, report_bundle)
 
@@ -54,7 +54,7 @@ __all__ = [
     "CayleyTableError", "FiniteGroup", "Subgroup", "cyclic_subgroups", "direct_product",
     "make_abelian", "make_alternating4", "make_cyclic", "make_dicyclic",
     "make_dihedral", "make_quaternion8", "semidirect_product", "subgroups",
-    "are_isomorphic", "automorphism_group", "characteristic_subgroups",
+    "are_isomorphic", "automorphism_group",
     "HGDescriptor", "ReportBundle", "brace_digest",
     "gamma_orbits", "hg_descriptor", "render_dot", "report_bundle",
 ]

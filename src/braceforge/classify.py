@@ -12,14 +12,12 @@ braces up to the first bad one; `--exhaustive` still scans them all.
 
 from __future__ import annotations
 
-from collections import Counter
 from typing import Iterable, NamedTuple
 
 from .braces import SkewBrace, left_ideal_flags, left_ideal_status, validate
 from .census import CENSUS_MAX_ORDER, census
 from .enumeration import iter_circ
-from .groups import FiniteGroup, cyclic_subgroups, direct_product, subgroups
-from .morphisms import characteristic_subgroups
+from .groups import FiniteGroup, cyclic_subgroups, direct_product
 
 
 class Witness(NamedTuple):
@@ -184,55 +182,6 @@ def verify_theorem(max_order: int = CENSUS_MAX_ORDER, *, exhaustive: bool = Fals
                                predicted=theorem_predicate(e.group), computed=verdict.good))
     all_match = all(r.predicted == r.computed for r in rows)
     return TheoremReport(max_order=max_order, rows=tuple(rows), all_match=all_match)
-
-
-# ---------------------------------------------------------------------------
-# One-sided heuristics
-# ---------------------------------------------------------------------------
-
-class SubgroupCountSignal(NamedTuple):
-    """circ has more subgroups of some order than dot: the brace must be bad."""
-    order: int
-    circ_count: int
-    dot_count: int
-
-
-class ContainmentSignal(NamedTuple):
-    """Equal total subgroup counts but a dot-subgroup missing from circ: bad."""
-    members: tuple[int, ...]
-
-
-class CharacteristicMatchSignal(NamedTuple):
-    """#characteristic dot-subgroups equals #circ-subgroups: all are left ideals."""
-    count: int
-
-
-def heuristic_subgroup_count(b: SkewBrace) -> SubgroupCountSignal | None:
-    circ_h = Counter(s.order for s in subgroups(b.circ))
-    dot_h = Counter(s.order for s in subgroups(b.dot))
-    for k in sorted(circ_h):
-        if circ_h[k] > dot_h[k]:
-            return SubgroupCountSignal(order=k, circ_count=circ_h[k], dot_count=dot_h[k])
-    return None
-
-
-def heuristic_subgroup_containment(b: SkewBrace) -> ContainmentSignal | None:
-    dot_subs = subgroups(b.dot)
-    circ_subs = subgroups(b.circ)
-    if len(dot_subs) != len(circ_subs):
-        return None
-    circ_sets = {s.members for s in circ_subs}
-    for s in dot_subs:
-        if s.members not in circ_sets:
-            return ContainmentSignal(members=s.members)
-    return None
-
-
-def heuristic_characteristic_count(b: SkewBrace) -> CharacteristicMatchSignal | None:
-    k = len(characteristic_subgroups(b.dot))
-    if k == len(subgroups(b.circ)):
-        return CharacteristicMatchSignal(count=k)
-    return None
 
 
 # ---------------------------------------------------------------------------

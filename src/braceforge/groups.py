@@ -417,8 +417,3 @@ def subgroups(g: FiniteGroup) -> list[Subgroup]:
                 found.add(key)
                 frontier.append((key, grown))
     return _ordered(found)
-
-
-def is_normal(g: FiniteGroup, s: Subgroup) -> bool:
-    t, mset = g.table, set(s.members)
-    return all(t[t[a][b]][g.inv[a]] in mset for a in g.elements() for b in s.members)

@@ -6,11 +6,13 @@ sorted keys and fixed indentation, so equal objects give identical bytes.
 `SchemaError`.  Parsing checks each field's shape, with the JSON path in
 every error (no number field takes a bool), then runs the full mathematical
 validation (FiniteGroup.from_table and braces.validate) on every table,
-except a dot table the caller already trusts.  Groups, braces and report
-bundles are parsed from user files; a cached bad exhaustive verdict is parsed
-as its two stored fields, the witness brace and the count of braces examined.
-A full verdict and an enumeration are only written, as the output of
-`classify --json` and `brace enumerate`.
+except a dot table the caller already trusts.  Groups and braces are parsed
+from user files; a cached bad exhaustive verdict is parsed as its two stored
+fields, the witness brace and the count of braces examined.  No command reads
+a report bundle: `parse` is library-only, the inverse of `serialize`, which
+`hg report --json` writes (ROADMAP item 16).  A full verdict and an
+enumeration are only written, as the output of `classify --json` and
+`brace enumerate`.
 """
 
 from __future__ import annotations

@@ -1,4 +1,4 @@
-"""Automorphism groups, isomorphism testing, characteristic subgroups.
+"""Automorphism groups and isomorphism testing.
 
 Every search here goes through `isomorphisms`, which chooses images for the
 greedy generating set g1 < ... < gk of the source and walks the Cayley graph
@@ -26,7 +26,7 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import Iterator
 
-from .groups import FiniteGroup, Subgroup, subgroups
+from .groups import FiniteGroup
 from .perms import Perm
 
 
@@ -101,14 +101,3 @@ def are_isomorphic(a: FiniteGroup, b: FiniteGroup) -> tuple[int, ...] | None:
     if invariants(a) != invariants(b):
         return None
     return next(isomorphisms(a, b), None)
-
-
-def characteristic_subgroups(g: FiniteGroup) -> list[Subgroup]:
-    """Subgroups mapped onto themselves by every automorphism."""
-    auts = automorphism_group(g)
-    out = []
-    for s in subgroups(g):
-        mset = set(s.members)
-        if all(all(alpha[m] in mset for m in s.members) for alpha in auts):
-            out.append(s)
-    return out

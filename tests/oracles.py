@@ -9,18 +9,26 @@ pairwise brace-isomorphism search `brace_isomorphic`, against which the
 Aut-orbit reduction of `reduce_up_to_iso` is checked, and the relabelling
 helpers `transport_table` and `transport`, which carry a table or a group
 along a bijection.
+
+The module ends with one-sided oracles for the exact left-ideal scan: three
+heuristics, each of which, when it fires, settles one direction of "every
+circ-subgroup is a left ideal" from subgroup counts alone; the characteristic
+subgroups of the additive group, which are left ideals of every brace on it;
+and `is_normal`, whose subgroups are the left ideals of the almost trivial
+brace.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from itertools import combinations, permutations
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from braceforge.braces import (BraceRelationError, BraceValidationError, SkewBrace,
                                gamma, left_ideal_status, validate)
 from braceforge.census import CENSUS_MAX_ORDER, CensusCapError, census
 from braceforge.classify import Witness
-from braceforge.groups import CayleyTableError, FiniteGroup, subgroups
+from braceforge.groups import CayleyTableError, FiniteGroup, Subgroup, subgroups
 from braceforge.morphisms import are_isomorphic, automorphism_group, isomorphisms
 from braceforge.perms import Perm, compose, identity_perm, is_permutation, perm_order
 from braceforge.report import HGDescriptor
@@ -506,3 +514,68 @@ def oracle_first_failure(b: SkewBrace) -> Witness | None:
             return Witness(brace=b, subgroup=flag.members,
                            failing=flag.failing_pair, kind=flag.failure_kind)
     return None
+
+
+# ---------------------------------------------------------------------------
+# One-sided heuristics
+# ---------------------------------------------------------------------------
+
+class SubgroupCountSignal(NamedTuple):
+    """circ has more subgroups of some order than dot: the brace must be bad."""
+    order: int
+    circ_count: int
+    dot_count: int
+
+
+class ContainmentSignal(NamedTuple):
+    """Equal total subgroup counts but a dot-subgroup missing from circ: bad."""
+    members: tuple[int, ...]
+
+
+class CharacteristicMatchSignal(NamedTuple):
+    """#characteristic dot-subgroups equals #circ-subgroups: all are left ideals."""
+    count: int
+
+
+def heuristic_subgroup_count(b: SkewBrace) -> SubgroupCountSignal | None:
+    circ_h = Counter(s.order for s in subgroups(b.circ))
+    dot_h = Counter(s.order for s in subgroups(b.dot))
+    for k in sorted(circ_h):
+        if circ_h[k] > dot_h[k]:
+            return SubgroupCountSignal(order=k, circ_count=circ_h[k], dot_count=dot_h[k])
+    return None
+
+
+def heuristic_subgroup_containment(b: SkewBrace) -> ContainmentSignal | None:
+    dot_subs = subgroups(b.dot)
+    circ_subs = subgroups(b.circ)
+    if len(dot_subs) != len(circ_subs):
+        return None
+    circ_sets = {s.members for s in circ_subs}
+    for s in dot_subs:
+        if s.members not in circ_sets:
+            return ContainmentSignal(members=s.members)
+    return None
+
+
+def heuristic_characteristic_count(b: SkewBrace) -> CharacteristicMatchSignal | None:
+    k = len(characteristic_subgroups(b.dot))
+    if k == len(subgroups(b.circ)):
+        return CharacteristicMatchSignal(count=k)
+    return None
+
+
+def characteristic_subgroups(g: FiniteGroup) -> list[Subgroup]:
+    """Subgroups mapped onto themselves by every automorphism."""
+    auts = automorphism_group(g)
+    out = []
+    for s in subgroups(g):
+        mset = set(s.members)
+        if all(all(alpha[m] in mset for m in s.members) for alpha in auts):
+            out.append(s)
+    return out
+
+
+def is_normal(g: FiniteGroup, s: Subgroup) -> bool:
+    t, mset = g.table, set(s.members)
+    return all(t[t[a][b]][g.inv[a]] in mset for a in g.elements() for b in s.members)

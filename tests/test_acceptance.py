@@ -13,15 +13,12 @@ import time
 
 from braceforge.braces import almost_trivial, gamma, left_ideals, trivial, validate
 from braceforge.census import census, census_lookup
-from braceforge.classify import (c_group_check, heuristic_characteristic_count,
-                                 heuristic_subgroup_containment,
-                                 heuristic_subgroup_count, is_good, verify_theorem,
-                                 verify_witness)
+from braceforge.classify import c_group_check, is_good, verify_theorem, verify_witness
 from braceforge.constructions import (example_c2cubed, example_cn_even,
                                       example_p_odd, example_pq, example_q8,
                                       least_kappa)
 from braceforge.enumeration import enumerate_circ, reduce_up_to_iso
-from braceforge.groups import (is_normal, make_abelian, make_cyclic, make_dihedral,
+from braceforge.groups import (make_abelian, make_cyclic, make_dihedral,
                                semidirect_product, subgroups)
 from braceforge.jsonio import serialize, theorem_report_to_obj, canonical_bytes
 from braceforge.morphisms import are_isomorphic
@@ -30,7 +27,9 @@ from braceforge.report import hg_descriptor, render_dot, report_bundle
 
 from gamma_checks import (check_c2cubed_gamma, check_cn_even_gamma,
                           check_p_odd_gamma, check_pq_gamma, check_q8_gamma)
-from oracles import oracle_enumerate_circ, oracle_iso_partition
+from oracles import (heuristic_characteristic_count, heuristic_subgroup_containment,
+                     heuristic_subgroup_count, is_normal, oracle_enumerate_circ,
+                     oracle_iso_partition)
 
 GOOD_SET = ["C1", "C2", "C3", "C2xC2", "C5", "C7", "C9", "C11", "C13", "C15"]
 

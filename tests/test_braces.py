@@ -10,12 +10,11 @@ from braceforge.braces import (BraceRelationError, BraceValidationError, SkewBra
                                almost_trivial, gamma, left_ideal_flags, left_ideal_status,
                                left_ideals, trivial, validate)
 from braceforge.census import census, census_lookup
-from braceforge.groups import (FiniteGroup, is_normal, make_abelian, make_cyclic, relabel,
-                               subgroups)
+from braceforge.groups import FiniteGroup, make_abelian, make_cyclic, relabel, subgroups
 from braceforge.perms import identity_perm
 
-from oracles import (brace_isomorphic, oracle_brace_isomorphic, oracle_is_almost_trivial,
-                     oracle_validate, transport, transport_table)
+from oracles import (brace_isomorphic, is_normal, oracle_brace_isomorphic,
+                     oracle_is_almost_trivial, oracle_validate, transport, transport_table)
 
 
 @pytest.mark.parametrize("label", ["C1", "C6", "S3", "Q8", "A4"])

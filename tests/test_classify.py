@@ -1,24 +1,24 @@
-"""Good/bad verdicts, witness verification, the classification sweep, and the
-one-sided heuristics (which must never contradict the exhaustive answer)."""
+"""Good/bad verdicts, witness verification and the classification sweep, and
+the one-sided heuristic oracles of `oracles`: where each fires on the paper's
+constructions, and on how many census braces."""
 
 from __future__ import annotations
 
 import pytest
 
-from oracles import oracle_first_failure
+from oracles import (heuristic_characteristic_count, heuristic_subgroup_containment,
+                     heuristic_subgroup_count, oracle_first_failure)
 
 from braceforge import braces, enumeration
-from braceforge.braces import almost_trivial, left_ideals, trivial, validate
+from braceforge.braces import almost_trivial, trivial, validate
 from braceforge.census import CensusCapError, census_label, census_labels, census_lookup
 from braceforge.classify import (_scan_enumeration, c_group_check, direct_factor_witness,
-                                 first_failure, heuristic_characteristic_count,
-                                 heuristic_subgroup_containment,
-                                 heuristic_subgroup_count, is_good,
+                                 first_failure, is_good,
                                  theorem_predicate, verify_theorem, verify_witness)
 from braceforge.constructions import example_p_odd, example_pq, example_q8
 from braceforge.enumeration import enumerate_circ
 from braceforge.groups import (FiniteGroup, direct_product, make_abelian, make_cyclic,
-                               make_dihedral, make_quaternion8, subgroups)
+                               make_dihedral, make_quaternion8)
 from braceforge.report import hg_descriptor
 
 GOOD_LABELS = ["C1", "C2", "C3", "C2xC2", "C5", "C7", "C9", "C11", "C13", "C15"]
@@ -247,20 +247,13 @@ def test_heuristic_characteristic_fires_on_trivial_c5():
     assert sig is not None and sig.count == 2
 
 
-def _all_circ_subgroups_are_ideals(b) -> bool:
-    ideal_sets = {s.members for s in left_ideals(b)}
-    return all(s.members in ideal_sets for s in subgroups(b.circ))
-
-
-def test_heuristics_never_contradict_exhaustive_scan(braces_up_to_12):
-    for b in braces_up_to_12:
-        actual_good = _all_circ_subgroups_are_ideals(b)
-        if heuristic_subgroup_count(b) is not None:
-            assert not actual_good, b.label
-        if heuristic_subgroup_containment(b) is not None:
-            assert not actual_good, b.label
-        if heuristic_characteristic_count(b) is not None:
-            assert actual_good, b.label
+def test_heuristics_fire_on_pinned_numbers_of_braces(braces_up_to_12):
+    # criterion 5 checks each firing against the exact scan; these counts
+    # show that every heuristic fires there, so that check is not vacuous
+    fired = [sum(h(b) is not None for b in braces_up_to_12)
+             for h in (heuristic_subgroup_count, heuristic_subgroup_containment,
+                       heuristic_characteristic_count)]
+    assert (len(braces_up_to_12), *fired) == (478, 104, 57, 19)
 
 
 def test_direct_factor_witness_lifts_badness():

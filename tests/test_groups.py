@@ -1,6 +1,6 @@
 import pytest
 
-from oracles import (oracle_center, oracle_closure_of, oracle_order_of,
+from oracles import (is_normal, oracle_center, oracle_closure_of, oracle_order_of,
                      oracle_from_table, oracle_generating_indices,
                      oracle_layered_subgroups, oracle_subgroups, transport)
 
@@ -8,7 +8,7 @@ from braceforge import groups
 from braceforge.census import census_lookup
 from braceforge.enumeration import enumerate_circ
 from braceforge.groups import (CayleyTableError, FiniteGroup, Subgroup, cyclic_subgroups,
-                               direct_product, is_normal, make_abelian,
+                               direct_product, make_abelian,
                                make_alternating4, make_cyclic, make_dicyclic,
                                make_dihedral, make_quaternion8, relabel,
                                semidirect_product, subgroups)

@@ -3,15 +3,15 @@ import weakref
 
 import pytest
 
-from oracles import oracle_automorphisms, oracle_check_isomorphism, transport
+from oracles import (characteristic_subgroups, oracle_automorphisms, oracle_check_isomorphism,
+                     transport)
 
 from braceforge import morphisms
 from braceforge.census import census_lookup
 from braceforge.enumeration import enumerate_circ, reduce_up_to_iso, with_mult_types
 from braceforge.groups import (direct_product, make_abelian, make_cyclic, make_dicyclic,
                                make_dihedral, make_quaternion8)
-from braceforge.morphisms import (are_isomorphic, automorphism_group, characteristic_subgroups,
-                                  isomorphisms)
+from braceforge.morphisms import are_isomorphic, automorphism_group, isomorphisms
 from braceforge.perms import compose
 
 
