@@ -32,10 +32,17 @@ The search is a generator, and `iter_circ` gates each table as it arrives, so
 a caller that stops at the first brace it wants (a first-failure `is_good`)
 neither searches for nor gates the rest.  `enumerate_circ` holds the whole
 stream.
+
+An enumeration's two partitions share one walk.  Its isomorphism classes are
+the Aut-orbits under transport (`reduce_up_to_iso`), and the circ type is
+constant on each, so `with_mult_types` labels one operation per class.  A
+one-entry memo keeps the last enumeration's classes, so labelling and then
+reducing it walks the orbits once.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import Iterator, NamedTuple
 
 from .braces import BraceValidationError, SkewBrace, validate
@@ -178,14 +185,27 @@ def reduce_up_to_iso(enum: BraceEnumeration) -> BraceEnumeration:
     alpha holds alpha(t[s][g]) at (alpha(s), alpha(g)), so its columns are
     read off t through alpha^-1, at n k entries per (class, automorphism)
     instead of a whole n x n table.
+
+    The operations must be closed under transport, as every enumeration is;
+    a transport that leaves them is a RuntimeError.  The partition is
+    memoized with `with_mult_types`, which walks it too.
     """
-    n = enum.additive.order
-    gens = enum.additive.generating_indices
-    tables = [b.circ.table for b in enum.operations]
+    return enum._replace(iso_classes=_iso_classes(enum.additive, enum.operations))
+
+
+# One entry: a caller that reduces an enumeration labels that same one first
+# (`brace enumerate --up-to-iso`), so the second walk is a hit; a larger memo
+# would keep earlier enumerations alive.
+@lru_cache(maxsize=1)
+def _iso_classes(additive: FiniteGroup,
+                 operations: tuple[SkewBrace, ...]) -> tuple[tuple[int, ...], ...]:
+    n = additive.order
+    gens = additive.generating_indices
+    tables = [b.circ.table for b in operations]
     index_of = {tuple(t[s][g] for s in range(n) for g in gens): i
                 for i, t in enumerate(tables)}
     walks = []  # (alpha, alpha^-1 of each row, alpha^-1 of each generator)
-    for alpha in automorphism_group(enum.additive):
+    for alpha in automorphism_group(additive):
         inv = invert(alpha)
         walks.append((alpha, inv, [inv[g] for g in gens]))
     seen = [False] * len(tables)
@@ -202,13 +222,22 @@ def reduce_up_to_iso(enum: BraceEnumeration) -> BraceEnumeration:
             orbit.add(j)
             seen[j] = True
         classes.append(tuple(sorted(orbit)))
-    return enum._replace(iso_classes=tuple(classes))
+    return tuple(classes)
 
 
 def with_mult_types(enum: BraceEnumeration) -> BraceEnumeration:
-    by_type: dict[str, list[int]] = {}
-    for i, b in enumerate(enum.operations):
-        by_type.setdefault(label_or_unknown(b.circ), []).append(i)
-    pairs = tuple(sorted((label, tuple(idx)) for label, idx in by_type.items()))
-    return enum._replace(by_mult_type=pairs)
+    """Partition operations by the census label of their circ group.
 
+    The label is a class invariant: an isomorphism of braces is in particular
+    an isomorphism of their circ groups, so every operation of an
+    isomorphism class has the circ type of the class's least index, and
+    `census_label` runs once per class instead of once per operation.  The
+    classes are those of `reduce_up_to_iso`, from the same memo, so the
+    operations must be closed under transport (a RuntimeError otherwise),
+    and a reduction of the same enumeration afterwards walks no orbit again.
+    """
+    by_type: dict[str, list[int]] = {}
+    for cls in _iso_classes(enum.additive, enum.operations):
+        by_type.setdefault(label_or_unknown(enum.operations[cls[0]].circ), []).extend(cls)
+    pairs = tuple(sorted((label, tuple(sorted(idx))) for label, idx in by_type.items()))
+    return enum._replace(by_mult_type=pairs)

@@ -26,8 +26,9 @@ from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from braceforge.braces import (BraceRelationError, BraceValidationError, SkewBrace,
                                gamma, left_ideal_status, validate)
-from braceforge.census import CENSUS_MAX_ORDER, CensusCapError, census
+from braceforge.census import CENSUS_MAX_ORDER, CensusCapError, census, label_or_unknown
 from braceforge.classify import Witness
+from braceforge.enumeration import BraceEnumeration
 from braceforge.groups import CayleyTableError, FiniteGroup, Subgroup, subgroups
 from braceforge.morphisms import are_isomorphic, automorphism_group, isomorphisms
 from braceforge.perms import Perm, compose, identity_perm, is_permutation, perm_order
@@ -192,6 +193,15 @@ def oracle_orbit_partition(ops: list[SkewBrace]) -> tuple[tuple[int, ...], ...]:
             seen |= orbit
             classes.append(tuple(sorted(orbit)))
     return tuple(classes)
+
+
+def oracle_mult_types(enum: BraceEnumeration) -> tuple[tuple[str, tuple[int, ...]], ...]:
+    """`by_mult_type` with every operation's circ group labelled on its own,
+    not once per isomorphism class."""
+    by_type: dict[str, list[int]] = {}
+    for i, b in enumerate(enum.operations):
+        by_type.setdefault(label_or_unknown(b.circ), []).append(i)
+    return tuple(sorted((label, tuple(idx)) for label, idx in by_type.items()))
 
 
 def oracle_center(g: FiniteGroup) -> tuple[int, ...]:

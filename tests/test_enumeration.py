@@ -13,7 +13,8 @@ import pytest
 
 from braceforge import enumeration
 from braceforge.braces import almost_trivial, trivial, validate
-from braceforge.census import CensusCapError, census, census_label, census_lookup
+from braceforge.census import (CensusCapError, census, census_label, census_lookup,
+                               census_match)
 from braceforge.classify import is_good
 from braceforge.enumeration import (BraceEnumeration, enumerate_circ, reduce_up_to_iso,
                                     with_mult_types)
@@ -21,8 +22,9 @@ from braceforge.groups import (CayleyTableError, FiniteGroup, make_abelian, make
                                relabel)
 from braceforge.morphisms import automorphism_group
 
-from oracles import (brace_isomorphic, oracle_enumerate_circ, oracle_orbit_partition,
-                     oracle_regular_subgroup_tables, oracle_search_slots, transport)
+from oracles import (brace_isomorphic, oracle_enumerate_circ, oracle_mult_types,
+                     oracle_orbit_partition, oracle_regular_subgroup_tables, oracle_search_slots,
+                     transport)
 
 # (label, operation count, isomorphism class count); summed per order, the
 # class counts 1 1 1 4 1 6 1 47 4 6 1 38 1 6 1 are Guarnieri-Vendramin's
@@ -183,6 +185,7 @@ def test_orbit_walk_matches_the_full_table_oracle(census15):
         enum = enumerate_circ(e.group)
         assert _generator_columns_are_injective(enum), e.label
         assert reduce_up_to_iso(enum).iso_classes == oracle_orbit_partition(enum.operations), e.label
+        assert with_mult_types(enum).by_mult_type == oracle_mult_types(enum), e.label
 
 
 @pytest.mark.parametrize("label", ["C2xC2xC2", "D12", "A4"])
@@ -197,6 +200,7 @@ def test_orbit_walk_matches_the_oracle_on_transported_groups(label):
     classes = reduce_up_to_iso(enum).iso_classes
     assert classes == oracle_orbit_partition(enum.operations)
     assert len(classes) == EXPECTED[label][1]
+    assert with_mult_types(enum).by_mult_type == oracle_mult_types(enum)
 
 
 def test_orbit_walk_matches_the_oracle_above_the_cap():
@@ -208,6 +212,7 @@ def test_orbit_walk_matches_the_oracle_above_the_cap():
     classes = reduce_up_to_iso(enum).iso_classes
     assert len(classes) == 83
     assert classes == oracle_orbit_partition(enum.operations)
+    assert with_mult_types(enum).by_mult_type == oracle_mult_types(enum)
 
 
 def test_orbit_walk_refuses_an_enumeration_missing_an_operation():
@@ -216,6 +221,43 @@ def test_orbit_walk_refuses_an_enumeration_missing_an_operation():
     ops = enum.operations[:dropped] + enum.operations[dropped + 1:]
     with pytest.raises(RuntimeError, match="left the enumeration"):
         reduce_up_to_iso(enum._replace(operations=ops, iso_classes=None))
+    # labelling walks the same orbits, so it refuses the same enumeration
+    with pytest.raises(RuntimeError, match="left the enumeration"):
+        with_mult_types(enum._replace(operations=ops, iso_classes=None))
+
+
+def _census_match_misses(groups):
+    # label and reduce each group as `brace enumerate --up-to-iso` does,
+    # from empty label memos
+    census_label.cache_clear()
+    census_match.cache_clear()
+    for g in groups:
+        reduce_up_to_iso(with_mult_types(enumerate_circ(g)))
+    return census_match.cache_info().misses
+
+
+def test_circ_types_are_labelled_once_per_class(census15):
+    # a deterministic work pin: one census search per distinct circ group
+    # among the class representatives (per operation: 398, 232 on C2xC2xC2)
+    assert _census_match_misses([census_lookup("C2xC2xC2")]) == 8
+    assert _census_match_misses([e.group for e in census15]) == 96
+
+
+def test_labelling_and_reduction_walk_the_orbits_once(monkeypatch):
+    # a relabelled C2xC2xC2 no other test has seen: its partition is not
+    # memoized yet; the walk inverts each of the 168 automorphisms once
+    g = transport(census_lookup("C2xC2xC2"), (0, 5, 3, 6, 7, 1, 2, 4))
+    real = enumeration.invert
+    calls = 0
+
+    def counting(p):
+        nonlocal calls
+        calls += 1
+        return real(p)
+    monkeypatch.setattr(enumeration, "invert", counting)
+    enum = reduce_up_to_iso(with_mult_types(enumerate_circ(g)))
+    assert len(enum.iso_classes) == EXPECTED["C2xC2xC2"][1]
+    assert calls == len(automorphism_group(g)) == 168
 
 
 def test_enumeration_capped_at_15():
@@ -334,6 +376,20 @@ def test_enumerate_circ_keeps_no_enumeration_alive():
     del enum
     gc.collect()
     assert all(ref() is None for ref in held)
+
+
+def test_orbit_memo_keeps_no_earlier_enumeration_alive():
+    # the partition memo holds one enumeration, so labelling another lets the
+    # first go; a relabelled D8 no other test has seen, so the first call is a miss
+    enum = with_mult_types(enumerate_circ(transport(census_lookup("D8"),
+                                                    (0, 3, 6, 5, 2, 7, 4, 1), "D8-held")))
+    held = weakref.ref(enum.operations[0])
+    del enum
+    gc.collect()
+    assert held() is not None  # the memo's key holds the operations
+    with_mult_types(enumerate_circ(census_lookup("C2")))
+    gc.collect()
+    assert held() is None
 
 
 
