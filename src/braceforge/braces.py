@@ -7,7 +7,7 @@ and . is dot.  Everything downstream (gamma maps, left ideals) lives here.
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import cached_property
 from typing import Iterable, Iterator, NamedTuple
 
 from .groups import FiniteGroup, Frozen, Subgroup, subgroups
@@ -55,6 +55,39 @@ class SkewBrace(Frozen):
     def is_almost_trivial(self) -> bool:
         # a o b == b . a for all a, b: circ's table is dot's transpose
         return self.circ.table == tuple(zip(*self.dot.table))
+
+    @cached_property
+    def gamma_reach(self) -> tuple[int, ...]:
+        """reach[x] is the bitmask of {gamma_a(x) : a}, the orbit of x.
+
+        a -> gamma_a is a homomorphism from circ (Guarnieri-Vendramin 2017,
+        Prop. 1.9), so the maps gamma_a form the group that the gamma_g of the
+        circ-generators g generate, and {gamma_a(x) : a} is the orbit of x
+        under those k maps.  Each orbit is walked once and every member gets
+        its mask: O(n k) instead of the n^2 entries of all the gamma maps.
+
+        A descriptor reads it twice, for its orbits and for its flags; the
+        brace is frozen, so the masks cannot go stale, and they go with it.
+        """
+        dt, ct, inv = self.dot.table, self.circ.table, self.dot.inv
+        maps = []
+        for g in self.circ.generating_indices:
+            ig = dt[inv[g]]
+            maps.append([ig[y] for y in ct[g]])  # gamma_g(y) = g^-1 . (g o y)
+        reach = [0] * self.order
+        for x in range(self.order):
+            if reach[x]:
+                continue
+            orbit, mask = [x], 1 << x
+            for y in orbit:  # grows as the walk finds new members
+                for m in maps:
+                    z = m[y]
+                    if not mask >> z & 1:
+                        mask |= 1 << z
+                        orbit.append(z)
+            for y in orbit:
+                reach[y] = mask
+        return tuple(reach)
 
 
 def validate(dot: FiniteGroup, circ: FiniteGroup, label: str = "") -> SkewBrace:
@@ -186,40 +219,6 @@ def left_ideal_status(b: SkewBrace, members: Iterable[int]) -> LeftIdealFlag:
     return LeftIdealFlag(members=ms, is_left_ideal=True)
 
 
-@lru_cache(maxsize=1)
-def gamma_reach(b: SkewBrace) -> tuple[int, ...]:
-    """reach[x] is the bitmask of {gamma_a(x) : a}, the orbit of x.
-
-    a -> gamma_a is a homomorphism from circ (Guarnieri-Vendramin 2017,
-    Prop. 1.9), so the maps gamma_a form the group that the gamma_g of the
-    circ-generators g generate, and {gamma_a(x) : a} is the orbit of x under
-    those k maps.  Each orbit is walked once and every member gets its mask:
-    O(n k) instead of the n^2 entries of all the gamma maps.
-
-    A descriptor reads it twice, for its orbits and for its flags; one entry
-    is kept, so nothing stays alive past the brace being described.
-    """
-    dt, ct, inv = b.dot.table, b.circ.table, b.dot.inv
-    maps = []
-    for g in b.circ.generating_indices:
-        ig = dt[inv[g]]
-        maps.append([ig[y] for y in ct[g]])  # gamma_g(y) = g^-1 . (g o y)
-    reach = [0] * b.order
-    for x in range(b.order):
-        if reach[x]:
-            continue
-        orbit, mask = [x], 1 << x
-        for y in orbit:  # grows as the walk finds new members
-            for m in maps:
-                z = m[y]
-                if not mask >> z & 1:
-                    mask |= 1 << z
-                    orbit.append(z)
-        for y in orbit:
-            reach[y] = mask
-    return tuple(reach)
-
-
 def left_ideal_flags(b: SkewBrace, lattice: Iterable[tuple[int, ...]]) -> Iterator[LeftIdealFlag]:
     """One flag per sorted member tuple, each a dot-subgroup or a circ-subgroup.
 
@@ -234,7 +233,7 @@ def left_ideal_flags(b: SkewBrace, lattice: Iterable[tuple[int, ...]]) -> Iterat
     that fails runs the exact `left_ideal_status` scan, which names its
     failing pair and failure kind.
     """
-    reach = gamma_reach(b)
+    reach = b.gamma_reach
     for ms in lattice:
         mask = closure = 0
         for x in ms:

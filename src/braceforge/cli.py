@@ -17,7 +17,7 @@ from . import __version__
 from .braces import BraceRelationError, BraceValidationError, SkewBrace, almost_trivial, gamma, trivial
 from .census import CENSUS_MAX_ORDER, CensusCapError, census, census_lookup, label_or_unknown
 from .classify import Verdict, first_failure, is_good, verify_theorem
-from .enumeration import enumerate_circ, reduce_up_to_iso, with_mult_types
+from .enumeration import enumerate_circ, with_mult_types
 from .groups import CayleyTableError, FiniteGroup, subgroups
 from .jsonio import (SchemaError, brace_from_obj, brace_to_obj, canonical_dumps,
                      enumeration_to_obj, group_from_obj, group_to_obj, loads, serialize,
@@ -138,8 +138,8 @@ def _cmd_group_show(args) -> int:
 def _cmd_brace_enumerate(args) -> int:
     g = _resolve_group(args.additive)
     enum = with_mult_types(enumerate_circ(g))
-    if args.up_to_iso:
-        enum = reduce_up_to_iso(enum)
+    if not args.up_to_iso:
+        enum = enum._replace(iso_classes=None)
     if args.json:
         print(canonical_dumps(enumeration_to_obj(enum)), end="")
         return 0

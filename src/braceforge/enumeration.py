@@ -35,14 +35,13 @@ stream.
 
 An enumeration's two partitions share one walk.  Its isomorphism classes are
 the Aut-orbits under transport (`reduce_up_to_iso`), and the circ type is
-constant on each, so `with_mult_types` labels one operation per class.  A
-one-entry memo keeps the last enumeration's classes, so labelling and then
-reducing it walks the orbits once.
+constant on each, so `with_mult_types` reduces first and labels one
+operation per class.  The classes ride on the returned enumeration, not in a
+memo, and a reduced one is not walked again, so either order walks once.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
 from typing import Iterator, NamedTuple
 
 from .braces import BraceValidationError, SkewBrace, validate
@@ -187,25 +186,20 @@ def reduce_up_to_iso(enum: BraceEnumeration) -> BraceEnumeration:
     instead of a whole n x n table.
 
     The operations must be closed under transport, as every enumeration is;
-    a transport that leaves them is a RuntimeError.  The partition is
-    memoized with `with_mult_types`, which walks it too.
+    a transport that leaves them is a RuntimeError.  An enumeration whose
+    `iso_classes` are present comes back as it is, with no walk: they are
+    trusted, so a caller that changes `operations` with `_replace` must set
+    `iso_classes` back to None.
     """
-    return enum._replace(iso_classes=_iso_classes(enum.additive, enum.operations))
-
-
-# One entry: a caller that reduces an enumeration labels that same one first
-# (`brace enumerate --up-to-iso`), so the second walk is a hit; a larger memo
-# would keep earlier enumerations alive.
-@lru_cache(maxsize=1)
-def _iso_classes(additive: FiniteGroup,
-                 operations: tuple[SkewBrace, ...]) -> tuple[tuple[int, ...], ...]:
-    n = additive.order
-    gens = additive.generating_indices
-    tables = [b.circ.table for b in operations]
+    if enum.iso_classes is not None:
+        return enum
+    n = enum.additive.order
+    gens = enum.additive.generating_indices
+    tables = [b.circ.table for b in enum.operations]
     index_of = {tuple(t[s][g] for s in range(n) for g in gens): i
                 for i, t in enumerate(tables)}
     walks = []  # (alpha, alpha^-1 of each row, alpha^-1 of each generator)
-    for alpha in automorphism_group(additive):
+    for alpha in automorphism_group(enum.additive):
         inv = invert(alpha)
         walks.append((alpha, inv, [inv[g] for g in gens]))
     seen = [False] * len(tables)
@@ -222,22 +216,24 @@ def _iso_classes(additive: FiniteGroup,
             orbit.add(j)
             seen[j] = True
         classes.append(tuple(sorted(orbit)))
-    return tuple(classes)
+    return enum._replace(iso_classes=tuple(classes))
 
 
 def with_mult_types(enum: BraceEnumeration) -> BraceEnumeration:
-    """Partition operations by the census label of their circ group.
+    """Partition operations by the census label of their circ group, and into
+    isomorphism classes: both partitions come back.
 
     The label is a class invariant: an isomorphism of braces is in particular
     an isomorphism of their circ groups, so every operation of an
     isomorphism class has the circ type of the class's least index, and
     `census_label` runs once per class instead of once per operation.  The
-    classes are those of `reduce_up_to_iso`, from the same memo, so the
+    classes are those of `reduce_up_to_iso`, which runs first, so the
     operations must be closed under transport (a RuntimeError otherwise),
-    and a reduction of the same enumeration afterwards walks no orbit again.
+    and present `iso_classes` are trusted as they are there.
     """
+    enum = reduce_up_to_iso(enum)
     by_type: dict[str, list[int]] = {}
-    for cls in _iso_classes(enum.additive, enum.operations):
+    for cls in enum.iso_classes:
         by_type.setdefault(label_or_unknown(enum.operations[cls[0]].circ), []).extend(cls)
     pairs = tuple(sorted((label, tuple(sorted(idx))) for label, idx in by_type.items()))
     return enum._replace(by_mult_type=pairs)

@@ -23,7 +23,8 @@ class Frozen:
     """Base of the package's two frozen classes, `FiniteGroup` and `SkewBrace`.
 
     They are not NamedTuples because their equality and hash ignore their
-    `label`; every other record of the package is a NamedTuple.  A subclass
+    `label`, and because each keeps cached properties in its instance
+    `__dict__`; every other record of the package is a NamedTuple.  A subclass
     sets its fields in `__init__` with `object.__setattr__`, lists them in
     `_fields` for the `Name(field=value, ...)` repr, and returns the compared
     ones from `_key()` as a plain tuple, since equality and hash run on every

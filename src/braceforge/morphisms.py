@@ -78,9 +78,9 @@ def isomorphisms(src: FiniteGroup, dst: FiniteGroup) -> Iterator[tuple[int, ...]
 
 
 # One entry: every caller reuses Aut(N) right after building it (the search,
-# then the orbit walk that `with_mult_types` and `reduce_up_to_iso` share on
-# the same enumeration), and an unbounded memo would keep every group it saw
-# alive, with all 20,160 maps of C2^4.
+# then the orbit walk of `reduce_up_to_iso`, which `with_mult_types` runs
+# first), and an unbounded memo would keep every group it saw alive, with all
+# 20,160 maps of C2^4.
 @lru_cache(maxsize=1)
 def automorphism_group(g: FiniteGroup) -> tuple[Perm, ...]:
     """All automorphisms as maps, sorted; `isomorphisms` finds them in order."""

@@ -14,9 +14,10 @@ entry, carried back along f^-1 and re-sorted by (size, members) is exactly
 Orbits.  The maps gamma_a are the image of a homomorphism from a finite
 group, so they are closed under composition, and the orbit of x under the
 group they generate is the single image set {gamma_a(x) : a}:
-`braces.gamma_reach(b)[x]`.  The same homomorphism makes that group the one
+`b.gamma_reach[x]`.  The same homomorphism makes that group the one
 generated by the gamma_g of the circ-generators g, so `gamma_reach` walks
-each orbit under those few maps and never builds all n gamma maps.
+each orbit under those few maps, once per brace, and never builds all n
+gamma maps.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from functools import lru_cache
 from typing import NamedTuple
 
 from . import __version__
-from .braces import LeftIdealFlag, SkewBrace, gamma_reach, left_ideal_flags
+from .braces import LeftIdealFlag, SkewBrace, left_ideal_flags
 from .census import CensusEntry, census_match, label_or_unknown
 from .groups import FiniteGroup, subgroups
 from .perms import invert
@@ -47,7 +48,7 @@ def gamma_orbits(b: SkewBrace) -> tuple[tuple[int, ...], ...]:
     member (Orbits).  Members are read off each mask's set bits, lowest first."""
     seen: set[int] = set()
     orbits = []
-    for mask in gamma_reach(b):
+    for mask in b.gamma_reach:
         if mask not in seen:
             seen.add(mask)
             members = []

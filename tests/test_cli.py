@@ -163,6 +163,14 @@ def test_brace_enumerate_human(capsys):
     assert "by circ type: C2xC2 x1, C4 x3" in out
 
 
+def test_brace_enumerate_human_prints_no_classes_unless_asked(capsys):
+    # the labelling walks the classes, but only --up-to-iso prints them
+    code, out, _ = run(capsys, "brace", "enumerate", "C2xC2")
+    assert code == 0
+    assert "iso classes:" not in out
+    assert out == "additive: C2xC2 (order 4)\noperations: 4\nby circ type: C2xC2 x1, C4 x3\n"
+
+
 def test_brace_enumerate_json_deterministic_and_cached(capsys, tmp_path):
     # enumerations are not cached: the flags parse, and nothing is written
     args = ("brace", "enumerate", "S3", "--json", "--cache-dir", str(tmp_path))
@@ -533,6 +541,8 @@ def test_cli_subprocess_deterministic_across_worker_counts(tmp_path):
 # SHA-256 of the canonical JSON two commands print.  Any change to the writer
 # or to the descriptor that moves one byte fails here.
 PINNED_JSON = {
+    ("brace", "enumerate", "C2xC2", "--json"):
+        "7d93aed4d283595081d98b1fbf8b40842d939003ca36194eb4fdac5f95c3d9bd",
     ("brace", "enumerate", "C2xC2", "--up-to-iso", "--json"):
         "9a4f53000572a7855495a2a940d4a1282f8ef76818a5d11a324e10ae87def1f8",
     ("hg", "report", "almost-trivial:D8", "--json"):

@@ -244,9 +244,10 @@ def test_circ_types_are_labelled_once_per_class(census15):
 
 
 def test_labelling_and_reduction_walk_the_orbits_once(monkeypatch):
-    # a relabelled C2xC2xC2 no other test has seen: its partition is not
-    # memoized yet; the walk inverts each of the 168 automorphisms once
-    g = transport(census_lookup("C2xC2xC2"), (0, 5, 3, 6, 7, 1, 2, 4))
+    # the walk inverts each of the 168 automorphisms once, in either order:
+    # the classes ride on the reduced enumeration, and a reduced one is not
+    # walked again
+    g = census_lookup("C2xC2xC2")
     real = enumeration.invert
     calls = 0
 
@@ -255,9 +256,15 @@ def test_labelling_and_reduction_walk_the_orbits_once(monkeypatch):
         calls += 1
         return real(p)
     monkeypatch.setattr(enumeration, "invert", counting)
-    enum = reduce_up_to_iso(with_mult_types(enumerate_circ(g)))
-    assert len(enum.iso_classes) == EXPECTED["C2xC2xC2"][1]
-    assert calls == len(automorphism_group(g)) == 168
+    for both in (lambda e: reduce_up_to_iso(with_mult_types(e)),
+                 lambda e: with_mult_types(reduce_up_to_iso(e))):
+        calls = 0
+        enum = both(enumerate_circ(g))
+        assert len(enum.iso_classes) == EXPECTED["C2xC2xC2"][1]
+        assert {t: len(idx) for t, idx in enum.by_mult_type} == EXPECTED_MULT_CENSUS["C2xC2xC2"]
+        assert calls == len(automorphism_group(g)) == 168
+    calls = 0
+    assert reduce_up_to_iso(enum) is enum and calls == 0
 
 
 def test_enumeration_capped_at_15():
@@ -378,19 +385,15 @@ def test_enumerate_circ_keeps_no_enumeration_alive():
     assert all(ref() is None for ref in held)
 
 
-def test_orbit_memo_keeps_no_earlier_enumeration_alive():
-    # the partition memo holds one enumeration, so labelling another lets the
-    # first go; a relabelled D8 no other test has seen, so the first call is a miss
-    enum = with_mult_types(enumerate_circ(transport(census_lookup("D8"),
-                                                    (0, 3, 6, 5, 2, 7, 4, 1), "D8-held")))
-    held = weakref.ref(enum.operations[0])
+def test_a_labelled_and_reduced_enumeration_is_freed_when_dropped():
+    # the partitions ride on the enumeration; no memo keeps its braces
+    enum = reduce_up_to_iso(with_mult_types(enumerate_circ(relabel(census_lookup("D8"),
+                                                                   "D8-held"))))
+    held = [weakref.ref(b) for b in enum.operations]
+    assert len(held) == 20 and len(enum.iso_classes) == EXPECTED["D8"][1]
     del enum
     gc.collect()
-    assert held() is not None  # the memo's key holds the operations
-    with_mult_types(enumerate_circ(census_lookup("C2")))
-    gc.collect()
-    assert held() is None
-
+    assert all(ref() is None for ref in held)
 
 
 def _hopf_galois_count(g_label: str, n_label: str) -> int:

@@ -5,7 +5,7 @@ JSON, only `jsonio.loads` decodes it, no package module imports a process
 pool or `dataclasses` (and importing the CLI loads neither `dataclasses` nor
 `inspect`), only `groups.Frozen` defines the frozen-instance dunders, each
 of its subclasses is allowlisted with the reason it is not a NamedTuple, every
-memo without a bound is allowlisted with a reason, every
+memo, bounded or not, is allowlisted with a reason, every
 public function, class and method of the package has a caller outside the
 unit tests or a stated reason, every package name the benchmark child reads
 without a fallback exists, and a traced benchmark round of each workload
@@ -334,7 +334,7 @@ def test_scan_sees_frozen_dunders():
 # hand-written classes, each with the reason it is not a NamedTuple
 FROZEN_SUBCLASSES = {
     "groups.FiniteGroup": "equality ignores label; cached properties need `__dict__`",
-    "braces.SkewBrace": "equality ignores label",
+    "braces.SkewBrace": "equality ignores label; `gamma_reach` needs `__dict__`",
 }
 
 
@@ -358,16 +358,26 @@ UNBOUNDED_MEMOS = {
 }
 
 
+# process-lifetime memos with a bound, each kept for a reason
+BOUNDED_MEMOS = {
+    "census._full_census": "the census is built once per process",
+    "census._entries_by_invariants": "the census index by invariants is built once per process",
+    "morphisms.automorphism_group": "the search and the orbit walk read Aut(N) in turn; "
+                                    "one entry keeps no earlier group alive",
+}
+
+
+def _decorator_name(node: ast.expr) -> str | None:
+    return node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)
+
+
 def _unbounded_memos(tree: ast.Module) -> list[str]:
     """Every function decorated with `cache` or with an `lru_cache` not given
     an integer maxsize (bare, called without one, or with `maxsize=None`)."""
-    def name(node: ast.expr) -> str | None:
-        return node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)
-
     def unbounded(d: ast.expr) -> bool:
-        if name(d) in ("cache", "lru_cache"):
+        if _decorator_name(d) in ("cache", "lru_cache"):
             return True
-        if not isinstance(d, ast.Call) or name(d.func) != "lru_cache":
+        if not isinstance(d, ast.Call) or _decorator_name(d.func) != "lru_cache":
             return False
         size = [*d.args, *(k.value for k in d.keywords if k.arg == "maxsize")]
         return not size or (isinstance(size[0], ast.Constant) and size[0].value is None)
@@ -376,12 +386,32 @@ def _unbounded_memos(tree: ast.Module) -> list[str]:
             and any(unbounded(d) for d in node.decorator_list)]
 
 
+def _memos(tree: ast.Module) -> list[str]:
+    """Every function decorated with `cache` or `lru_cache`, bounded or not."""
+    def memo(d: ast.expr) -> bool:
+        return _decorator_name(d.func if isinstance(d, ast.Call) else d) in ("cache", "lru_cache")
+    return [node.name for node in ast.walk(tree)
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+            and any(memo(d) for d in node.decorator_list)]
+
+
+def _package_memos(scan) -> set[str]:
+    return {f"{p.stem}.{name}" for p in PACKAGE
+            for name in scan(ast.parse(p.read_text(encoding="utf-8")))}
+
+
 def test_every_unbounded_memo_has_a_reason():
-    found = {f"{p.stem}.{name}" for p in PACKAGE
-             for name in _unbounded_memos(ast.parse(p.read_text(encoding="utf-8")))}
+    found = _package_memos(_unbounded_memos)
     allowed = set(UNBOUNDED_MEMOS)
     assert found == allowed, (f"memos with no bound: {sorted(found - allowed)}; "
                               f"allowlisted but bounded or gone: {sorted(allowed - found)}")
+
+
+def test_every_bounded_memo_has_a_reason():
+    found = _package_memos(_memos) - _package_memos(_unbounded_memos)
+    allowed = set(BOUNDED_MEMOS)
+    assert found == allowed, (f"bounded memos with no reason: {sorted(found - allowed)}; "
+                              f"allowlisted but unbounded or gone: {sorted(allowed - found)}")
 
 
 def test_scan_sees_an_unbounded_memo():
@@ -393,6 +423,15 @@ def test_scan_sees_an_unbounded_memo():
                      "@property\ndef h(): pass\nclass C:\n    @functools.cache\n"
                      "    def i(self): pass\n")
     assert _unbounded_memos(tree) == ["a", "b", "c", "d", "e", "i"]
+
+
+def test_scan_sees_a_bounded_memo():
+    tree = ast.parse("import functools\nfrom functools import cache, lru_cache\n"
+                     "@lru_cache(maxsize=1)\ndef f(): pass\n@functools.lru_cache(4)\ndef g(): pass\n"
+                     "@cache\ndef a(): pass\n@property\ndef h(): pass\n"
+                     "@staticmethod\ndef j(): pass\nclass C:\n    @functools.cache\n"
+                     "    def i(self): pass\n")
+    assert sorted(set(_memos(tree)) - set(_unbounded_memos(tree))) == ["f", "g"]
 
 
 CHILD = ROOT / "perfbench" / "child.py"

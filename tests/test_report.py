@@ -2,15 +2,17 @@
 
 from __future__ import annotations
 
+import gc
 import hashlib
 import importlib
 import json
+import weakref
 
 import pytest
 
 import braceforge
 from braceforge import braces
-from braceforge.braces import almost_trivial, gamma, gamma_reach, trivial
+from braceforge.braces import SkewBrace, almost_trivial, gamma, trivial
 from braceforge.cache import table_digest
 from braceforge.census import census, census_label, census_lookup, census_match
 from braceforge.classify import first_failure
@@ -147,7 +149,6 @@ def test_render_dot_covers_only():
 
 
 def test_brace_digest_ignores_labels():
-    from braceforge.braces import SkewBrace
     b = example_q8()
     relabeled = SkewBrace(dot=relabel(b.dot, "x"), circ=relabel(b.circ, "y"), label="z")
     assert brace_digest(relabeled) == brace_digest(b)
@@ -222,7 +223,7 @@ def _reach_by_definition(b):
 def test_gamma_reach_matches_its_definition(census_braces):
     examples = [make() for make in BUILDERS.values()]
     for b in census_braces + BEYOND_CENSUS + ORDER_16 + examples:
-        assert gamma_reach(b) == _reach_by_definition(b), b.label
+        assert b.gamma_reach == _reach_by_definition(b), b.label
 
 
 def test_descriptor_and_first_failure_never_build_gamma(monkeypatch, census_braces):
@@ -230,11 +231,20 @@ def test_descriptor_and_first_failure_never_build_gamma(monkeypatch, census_brac
         raise AssertionError("braces.gamma called")
 
     monkeypatch.setattr(braces, "gamma", no_gamma)
+    # fresh copies, so no reach mask cached by an earlier test is read
     for b in census_braces + BEYOND_CENSUS:
-        gamma_reach.cache_clear()
-        hg_descriptor(b)
-        gamma_reach.cache_clear()
-        first_failure(b)
+        hg_descriptor(SkewBrace(b.dot, b.circ, b.label))
+        first_failure(SkewBrace(b.dot, b.circ, b.label))
+
+
+def test_a_described_brace_is_freed_when_dropped():
+    # the reach masks are cached on the brace itself, so no memo keeps it
+    b = almost_trivial(relabel(census_lookup("D8"), "D8-held"))
+    assert not hg_descriptor(b).bijective and first_failure(b) is not None
+    held = weakref.ref(b)
+    del b
+    gc.collect()
+    assert held() is None
 
 
 def test_digests_hash_the_table_text(census_braces):
